@@ -58,7 +58,7 @@ func main() {
 		maxTopK     = flag.Int("max-topk", 4096, "largest k accepted by top-K and fold-in queries")
 		queryCache  = flag.Int("query-cache", 1024, "top-K result cache capacity in entries (negative disables)")
 
-		keepVersions   = flag.Int("keep-versions", 3, "lineage versions kept per model after a streaming refit (pinned versions always survive; see docs/STREAMING.md)")
+		keepVersions   = flag.Int("keep-versions", 3, "lineage versions kept per model after a streaming refit (pinned versions and the root always survive; see docs/STREAMING.md)")
 		refitNNZ       = flag.Int64("refit-nnz", 0, "pending delta non-zeros that trigger an automatic refit (0 disables)")
 		refitStaleness = flag.Duration("refit-staleness", 0, "age of the oldest unapplied delta batch that triggers an automatic refit (0 disables)")
 		streamDecay    = flag.Float64("stream-decay", 1, "default sliding-window decay lambda in (0,1] for new lineages; older delta batches are down-weighted by lambda^age")

@@ -3,6 +3,7 @@ package csf
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,54 @@ func TestRoundTripPropertyAllRoots(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBuildMatchesStableSortOrder builds every root's tree twice: once from
+// the raw COO (Build's radix sort) and once from a COO pre-ordered by a
+// comparison-based stable sort. The trees must be identical field for field;
+// duplicate coordinates carry distinct values, so a different tie order
+// would show in Vals.
+func TestBuildMatchesStableSortOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, dims := range [][]int{{7, 300, 5}, {4, 1 << 17, 6, 3}} {
+		coo := tensor.NewCOO(dims, 2000)
+		for p := 0; p < 2000; p++ {
+			coord := make([]int, len(dims))
+			for m := range coord {
+				coord[m] = rng.Intn(dims[m])
+			}
+			coo.Append(coord, float64(p))
+		}
+		for root := range dims {
+			perm := DefaultPerm(len(dims), root)
+			got := Build(coo.Clone(), perm)
+			want := Build(stableSorted(coo, perm), perm)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("dims %v root %d: radix-built tree differs from stable-sort-built tree", dims, root)
+			}
+		}
+	}
+}
+
+// stableSorted returns a copy of x ordered by sort.SliceStable under perm.
+func stableSorted(x *tensor.COO, perm []int) *tensor.COO {
+	idx := make([]int, x.NNZ())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		for _, m := range perm {
+			if ia, ib := x.Inds[m][idx[a]], x.Inds[m][idx[b]]; ia != ib {
+				return ia < ib
+			}
+		}
+		return false
+	})
+	out := tensor.NewCOO(x.Dims, x.NNZ())
+	for _, p := range idx {
+		out.Append(x.At(p), x.Vals[p])
+	}
+	return out
 }
 
 func TestFIDsSortedWithinParents(t *testing.T) {

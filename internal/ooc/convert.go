@@ -59,6 +59,7 @@ func ConvertCOO(t *tensor.COO, outDir string, opts ConvertOptions) (*ShardedTens
 	if err != nil {
 		return nil, err
 	}
+	c.ensureChunk(t.NNZ()) // the record count is known: no growth copies
 	coord := make([]int32, t.Order())
 	for p := 0; p < t.NNZ(); p++ {
 		for m := range coord {
@@ -211,8 +212,15 @@ func newConverter(dims []int, outDir string, opts ConvertOptions) (*converter, e
 	return c, nil
 }
 
-// ensureChunk allocates the sort chunk once the order is known.
-func (c *converter) ensureChunk() {
+// initialChunkRecs is the sort chunk's first allocation, in records.
+const initialChunkRecs = 1024
+
+// ensureChunk sets up the sort chunk once the order is known. The chunk
+// spills at chunkCap records (a third of the budget) but starts at the
+// expected record count — initialChunkRecs when unknown (hint 0) — and grows
+// geometrically toward that cap, so a small conversion does not commit the
+// budget's whole share.
+func (c *converter) ensureChunk(hint int) {
 	if c.chunkInds != nil {
 		return
 	}
@@ -222,11 +230,16 @@ func (c *converter) ensureChunk() {
 	}
 	c.chunkCap = capRecs
 	c.chunkInds = make([][]int32, c.order)
-	for m := range c.chunkInds {
-		c.chunkInds[m] = make([]int32, 0, capRecs)
-	}
-	c.chunkVals = make([]float64, 0, capRecs)
+	c.growChunk(min(capRecs, max(hint, initialChunkRecs)))
 	c.maxIdx = make([]int32, c.order)
+}
+
+// growChunk reallocates the chunk to hold n records, keeping its contents.
+func (c *converter) growChunk(n int) {
+	for m := range c.chunkInds {
+		c.chunkInds[m] = append(make([]int32, 0, n), c.chunkInds[m]...)
+	}
+	c.chunkVals = append(make([]float64, 0, n), c.chunkVals...)
 }
 
 // add appends one record (0-based coords), spilling the chunk when full.
@@ -240,7 +253,10 @@ func (c *converter) add(coord []int32, val float64) error {
 	if math.IsNaN(val) || math.IsInf(val, 0) {
 		return fmt.Errorf("ooc: non-zero %d has non-finite value %v", c.nnz, val)
 	}
-	c.ensureChunk()
+	c.ensureChunk(0)
+	if n := len(c.chunkVals); n == cap(c.chunkVals) {
+		c.growChunk(min(2*n, c.chunkCap))
+	}
 	for m, idx := range coord {
 		if idx < 0 || (c.dims != nil && int(idx) >= c.dims[m]) {
 			return fmt.Errorf("ooc: non-zero %d mode %d index %d out of range", c.nnz, m, idx)

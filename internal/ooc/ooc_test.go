@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -123,6 +124,44 @@ func TestConvertExternalSort(t *testing.T) {
 	// Tmp dir with run files must be cleaned up.
 	if _, err := os.Stat(dir + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("tmp dir not removed: %v", err)
+	}
+}
+
+// TestConvertChunkGrowsOnDemand checks the sort chunk's sizing: a small
+// conversion under the default 256 MiB budget must not commit the budget's
+// third up front, and growth must not move the spill points, which stay at
+// every budget/3 worth of records.
+func TestConvertChunkGrowsOnDemand(t *testing.T) {
+	coo := genTensor(t, []int{40, 30, 20}, 1000, 5)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ConvertCOO(coo, filepath.Join(t.TempDir(), "shards"), ConvertOptions{}); err != nil {
+		t.Fatalf("ConvertCOO: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("converting %d records allocated %d bytes, want < 4 MiB", coo.NNZ(), alloc)
+	}
+
+	big := genTensor(t, []int{60, 25, 15}, 5000, 11)
+	const budget = 64 << 10
+	c, err := newConverter(big.Dims, filepath.Join(t.TempDir(), "runs"), ConvertOptions{MemBudgetBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.abort()
+	coord := make([]int32, big.Order())
+	for p := 0; p < big.NNZ(); p++ {
+		for m := range coord {
+			coord[m] = big.Inds[m][p]
+		}
+		if err := c.add(coord, big.Vals[p]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunk := budget / (3 * int(recordBytes(big.Order())))
+	if c.chunkCap != chunk || len(c.runs) != big.NNZ()/chunk {
+		t.Fatalf("chunk cap %d with %d runs, want %d with %d", c.chunkCap, len(c.runs), chunk, big.NNZ()/chunk)
 	}
 }
 

@@ -431,8 +431,8 @@ type ManagerConfig struct {
 	// specs are rejected at submission.
 	Stream *stream.Store
 	// KeepVersions is the lineage retention policy applied on refit commit:
-	// the newest N versions survive, pinned versions and the head always
-	// survive (default 3).
+	// the newest N versions survive, pinned versions, the head and the root
+	// always survive (default 3).
 	KeepVersions int
 	// OnRefitCommit fires after a refit's version swap: the lineage root,
 	// the superseded head, the new head, and the GC'd version ids. The

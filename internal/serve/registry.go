@@ -499,9 +499,10 @@ func (r *Registry) SetPinned(id string, pinned bool) (*Model, error) {
 
 // GCVersions applies the keep-last-N retention policy to the given model's
 // lineage: superseded versions beyond the newest keep are removed from disk
-// and the registry. The head and pinned versions are never deleted, and
-// in-flight queries holding a removed *Model keep serving from memory.
-// Returns the removed ids.
+// and the registry. The head, the pinned versions and the root are never
+// deleted: the root's id names the lineage, so every lineage-addressed
+// request resolves through it. In-flight queries holding a removed *Model
+// keep serving from memory. Returns the removed ids.
 func (r *Registry) GCVersions(id string, keep int) []string {
 	if keep < 1 {
 		keep = 1
@@ -522,7 +523,7 @@ func (r *Registry) GCVersions(id string, keep int) []string {
 	headID := r.heads[m.Meta.RootID]
 	var gced []string
 	for i, sib := range family {
-		if i < keep || sib.Meta.Pinned || sib.Meta.ID == headID {
+		if i < keep || sib.Meta.Pinned || sib.Meta.ID == headID || sib.Meta.ID == sib.Meta.RootID {
 			continue
 		}
 		if err := r.removeLocked(sib.Meta.ID); err != nil {

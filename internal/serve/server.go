@@ -67,7 +67,7 @@ type Config struct {
 	QueryCacheSize int
 	// KeepVersions is the lineage retention policy applied when a streaming
 	// refit commits: the newest N versions of the lineage survive, plus any
-	// pinned version and the head (default 3).
+	// pinned version, the head and the root (default 3).
 	KeepVersions int
 	// RefitNNZ triggers an automatic refit once a lineage's pending delta
 	// non-zeros reach this count (0 disables the nnz trigger).

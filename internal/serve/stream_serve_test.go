@@ -444,6 +444,50 @@ func TestStreamRetentionKeepsLastNAndPinned(t *testing.T) {
 	}
 }
 
+// TestStreamRetentionKeepsUnpinnedRoot checks that keep-last-N GC never
+// removes the lineage's root even when it is not pinned: its id names the
+// lineage, so after four refits under -keep-versions=2 it must still answer
+// latest top-K (served by the head), append, refit and lineage requests.
+func TestStreamRetentionKeepsUnpinnedRoot(t *testing.T) {
+	_, ts := newStreamServer(t, t.TempDir(), func(c *Config) { c.KeepVersions = 2 })
+	root := trainModel(t, ts.URL, quickSpec(t, 58))
+
+	ids := []string{root}
+	for i := 0; i < 4; i++ {
+		inds, vals := deltaBatch(int32(11 + i))
+		if code, resp := appendDelta(t, ts.URL, root, inds, vals, nil); code != http.StatusAccepted {
+			t.Fatalf("append %d: %d %v", i, code, resp)
+		}
+		ids = append(ids, refitAndWait(t, ts.URL, root, nil))
+	}
+	head := ids[4]
+
+	// The middle versions are gone; the root and the newest two remain.
+	for _, id := range ids[1:3] {
+		if code, _ := doJSON(t, http.MethodGet, ts.URL+"/models/"+id, nil, nil); code != http.StatusNotFound {
+			t.Fatalf("superseded %s not GC'd: %d", id, code)
+		}
+	}
+	lv := getLineage(t, ts.URL, root)
+	if lv.Head != head || len(lv.Versions) != 3 || lv.Versions[0].ID != root {
+		t.Fatalf("post-GC lineage %+v", lv)
+	}
+
+	q := map[string]any{"anchors": map[string]int{"0": 1}, "target_mode": 1, "k": 3}
+	if code, out, raw := queryTopK(t, ts.URL, root, q); code != http.StatusOK || out.Model != head {
+		t.Fatalf("latest topk via root: %d served %q: %s", code, out.Model, raw)
+	}
+	inds, vals := deltaBatch(20)
+	if code, resp := appendDelta(t, ts.URL, root, inds, vals, nil); code != http.StatusAccepted {
+		t.Fatalf("append via root: %d %v", code, resp)
+	}
+	var v JobView
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/models/"+root+"/refit", nil, &v); code != http.StatusAccepted {
+		t.Fatalf("refit via root: %d %s", code, raw)
+	}
+	pollJob(t, ts.URL, v.ID, JobDone, 120*time.Second)
+}
+
 // TestStreamFoldInConsistentAcrossRefit is the serving-consistency check: a
 // user folded in on v1 keeps getting the same recommendations (to 1e-6)
 // after their own interactions stream in and a refit produces v2. The data

@@ -9,7 +9,7 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // COO is a sparse tensor of arbitrary order in coordinate format.
@@ -104,43 +104,152 @@ func (t *COO) Clone() *COO {
 	return c
 }
 
-// less compares non-zeros p and q lexicographically under the mode
-// permutation perm (perm[0] is the most significant mode).
-func (t *COO) less(perm []int, p, q int) bool {
-	for _, m := range perm {
-		if t.Inds[m][p] != t.Inds[m][q] {
-			return t.Inds[m][p] < t.Inds[m][q]
-		}
-	}
-	return false
-}
+// maxDigitBits is the widest radix digit Sort counts in one pass: 2^16
+// buckets of int32 counts (256 KiB) stay cache-resident.
+const maxDigitBits = 16
 
-// Sort orders the non-zeros lexicographically by the mode permutation perm.
-// CSF construction for a given root mode sorts with that mode first.
+// Sort orders the non-zeros lexicographically by the mode permutation perm
+// (perm[0] is the most significant mode). The sort is stable: non-zeros with
+// equal coordinates keep their relative order. CSF construction for a given
+// root mode sorts with that mode first.
+//
+// It is a least-significant-digit radix sort over each mode's observed index
+// range [min, max]: one counting pass per ≤16-bit digit of each mode, modes
+// taken from perm's last to its first, then one gather of every index column
+// through a reused buffer and an in-place cycle walk of the values into the
+// final order. Time is O(nnz·digits), scratch is two
+// int32 order arrays (O(nnz)) plus the digit counts, and a tensor already in
+// perm order is detected in O(nnz) and left alone.
 func (t *COO) Sort(perm []int) {
 	if len(perm) != t.Order() {
 		panic("tensor: Sort permutation length mismatch")
 	}
-	idx := make([]int, t.NNZ())
-	for i := range idx {
-		idx[i] = i
+	n := t.NNZ()
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: Sort of %d non-zeros exceeds the int32 order arrays", n))
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return t.less(perm, idx[a], idx[b]) })
-	t.permuteNonzeros(idx)
-}
-
-// permuteNonzeros reorders storage so that new position i holds old
-// non-zero idx[i].
-func (t *COO) permuteNonzeros(idx []int) {
-	for m := range t.Inds {
-		old := append([]int32(nil), t.Inds[m]...)
-		for i, j := range idx {
-			t.Inds[m][i] = old[j]
+	if t.sortedBy(perm) {
+		return
+	}
+	lo := make([]int32, len(perm))
+	span := make([]uint32, len(perm))
+	buckets := 0
+	for k, m := range perm {
+		lo[k], span[k] = indexRange(t.Inds[m])
+		buckets = max(buckets, 1<<digitWidth(span[k]))
+	}
+	count := make([]int32, buckets)
+	order := make([]int32, n) // order[i] is the old position of the i-th non-zero
+	next := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	for k := len(perm) - 1; k >= 0; k-- {
+		col, width := t.Inds[perm[k]], digitWidth(span[k])
+		for shift := 0; span[k]>>shift != 0; shift += width {
+			if countingPass(col, lo[k], uint(shift), uint32(1)<<width-1, count, order, next) {
+				order, next = next, order
+			}
 		}
 	}
-	oldV := append([]float64(nil), t.Vals...)
-	for i, j := range idx {
-		t.Vals[i] = oldV[j]
+	buf := next
+	for m, col := range t.Inds {
+		for i, p := range order {
+			buf[i] = col[p]
+		}
+		copy(t.Inds[m], buf)
+	}
+	permuteInPlace(t.Vals, order)
+}
+
+// sortedBy reports whether the non-zeros are already in perm order.
+func (t *COO) sortedBy(perm []int) bool {
+	for p := 1; p < t.NNZ(); p++ {
+		for _, m := range perm {
+			a, b := t.Inds[m][p-1], t.Inds[m][p]
+			if a < b {
+				break
+			}
+			if a > b {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// indexRange returns a non-empty column's minimum and its max-min span.
+func indexRange(col []int32) (lo int32, span uint32) {
+	lo, hi := col[0], col[0]
+	for _, v := range col {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, uint32(hi - lo)
+}
+
+// digitWidth splits a span's bits into the fewest equal digits of at most
+// maxDigitBits and returns their width; 0 for a constant column, which needs
+// no pass.
+func digitWidth(span uint32) int {
+	b := bits.Len32(span)
+	if b == 0 {
+		return 0
+	}
+	digits := (b + maxDigitBits - 1) / maxDigitBits
+	return (b + digits - 1) / digits
+}
+
+// countingPass stably scatters order into next by the digit
+// ((col[p]-lo) >> shift) & mask of each non-zero p. It reports false, and
+// leaves next untouched, when every key falls in one bucket (the pass would
+// be the identity).
+func countingPass(col []int32, lo int32, shift uint, mask uint32, count, order, next []int32) bool {
+	count = count[:mask+1]
+	clear(count)
+	for _, v := range col {
+		count[(uint32(v-lo)>>shift)&mask]++
+	}
+	sum := int32(0)
+	for d, c := range count {
+		if int(c) == len(col) {
+			return false
+		}
+		count[d] = sum
+		sum += c
+	}
+	for _, p := range order {
+		d := (uint32(col[p]-lo) >> shift) & mask
+		next[count[d]] = p
+		count[d]++
+	}
+	return true
+}
+
+// permuteInPlace rearranges vals so that new position i holds old element
+// order[i], following the permutation's cycles. It consumes order: every
+// visited entry is overwritten with its bitwise complement.
+func permuteInPlace(vals []float64, order []int32) {
+	for start := range order {
+		if order[start] < 0 {
+			continue
+		}
+		saved := vals[start]
+		i := start
+		for {
+			src := order[i]
+			order[i] = ^src
+			if int(src) == start {
+				vals[i] = saved
+				break
+			}
+			vals[i] = vals[src]
+			i = int(src)
+		}
 	}
 }
 
@@ -178,10 +287,20 @@ func (t *COO) Dedup() int {
 	}
 	n := w + 1
 	for m := range t.Inds {
-		t.Inds[m] = t.Inds[m][:n]
+		t.Inds[m] = shrink(t.Inds[m][:n])
 	}
-	t.Vals = t.Vals[:n]
+	t.Vals = shrink(t.Vals[:n])
 	return merged
+}
+
+// shrink copies s into right-sized storage when it uses under half of its
+// capacity, so the slots of merged duplicates are not held for the tensor's
+// lifetime (generators oversample, then merge about half away).
+func shrink[T any](s []T) []T {
+	if len(s) > cap(s)/2 {
+		return s
+	}
+	return append([]T(nil), s...)
 }
 
 // Validate checks structural and numerical sanity: index arrays of equal

@@ -151,6 +151,21 @@ func TestDedupMergesDuplicates(t *testing.T) {
 	}
 }
 
+// TestDedupReleasesMergedStorage checks that a Dedup which merges most
+// records away moves the survivors into right-sized storage.
+func TestDedupReleasesMergedStorage(t *testing.T) {
+	c := NewCOO([]int{2, 2}, 10)
+	for p := 0; p < 10; p++ {
+		c.Append([]int{p % 2, 0}, 1)
+	}
+	if merged := c.Dedup(); merged != 8 {
+		t.Fatalf("merged = %d, want 8", merged)
+	}
+	if cap(c.Vals) != 2 || cap(c.Inds[0]) != 2 || cap(c.Inds[1]) != 2 {
+		t.Fatalf("capacities vals %d inds %d/%d after merging 10 to 2, want 2", cap(c.Vals), cap(c.Inds[0]), cap(c.Inds[1]))
+	}
+}
+
 func TestDedupNoDuplicatesNoop(t *testing.T) {
 	c := smallCOO()
 	if m := c.Dedup(); m != 0 {
