@@ -134,38 +134,6 @@ func BenchmarkAblationInnerIters(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTiledMTTKRP compares the plain kernel against leaf-mode
-// cache tiling at several tile widths (SPLATT-style tiling; pays off when
-// the leaf factor exceeds cache).
-func BenchmarkAblationTiledMTTKRP(b *testing.B) {
-	x := benchTensor(b, "nell") // longest leaf mode of the proxies
-	rank := 32
-	rng := rand.New(rand.NewSource(9))
-	factors := make([]*dense.Matrix, x.Order())
-	for m, d := range x.Dims {
-		factors[m] = dense.Random(d, rank, rng)
-	}
-	perm := csf.DefaultPerm(x.Order(), 0)
-	out := dense.New(x.Dims[0], rank)
-
-	b.Run("untiled", func(b *testing.B) {
-		tree := csf.Build(x.Clone(), perm)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mttkrp.Compute(tree, factors, out, nil, mttkrp.Options{Threads: 1})
-		}
-	})
-	for _, tileRows := range []int{512, 2048, 8192} {
-		b.Run(fmt.Sprintf("tile=%d", tileRows), func(b *testing.B) {
-			tiles := csf.SplitLeafTiles(x.Clone(), perm, tileRows)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mttkrp.ComputeTiled(tiles, factors, out, nil, mttkrp.Options{Threads: 1})
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSolver compares the three non-negative solvers sharing
 // the MTTKRP/Gram substrate — AO-ADMM (blocked), CP-HALS, and (for the
 // unconstrained reference point) CPD-ALS — at a matched outer-iteration

@@ -28,7 +28,6 @@
 package aoadmm
 
 import (
-	"aoadmm/internal/autoselect"
 	"aoadmm/internal/core"
 	"aoadmm/internal/datasets"
 	"aoadmm/internal/eval"
@@ -121,11 +120,14 @@ const (
 	StructCSR = core.StructCSR
 	// StructHybrid compresses sparse factors to the hybrid dense+CSR form.
 	StructHybrid = core.StructHybrid
+	// StructAuto picks DENSE, CSR, or CSR-H per MTTKRP call from the leaf
+	// factor's sparsity profile with the analytical cost model of the
+	// paper's §VI future work. Set it together with ExploitSparsity.
+	StructAuto = core.StructAuto
 )
 
-// Kernel backend format names accepted by Options.KernelFormat (and the
-// ALS/HALS equivalents). Names outside this set resolve through the backend
-// registry — see KernelBackends and ApplyKernelBackend.
+// Kernel format names accepted by Options.KernelFormat (and the ALS/HALS
+// equivalents). The set is closed: any other name is an error.
 const (
 	// FormatCSF selects per-mode compressed sparse fiber trees (default).
 	FormatCSF = core.FormatCSF
@@ -135,19 +137,6 @@ const (
 	// FormatAuto picks CSF or ALTO per tensor from a structural cost model.
 	FormatAuto = core.FormatAuto
 )
-
-// KernelBackends lists the registered MTTKRP kernel backends, sorted:
-// the natives ("csf", "alto", "auto") plus registry extensions such as
-// "probe" (measured per-mode selection).
-func KernelBackends() []string { return autoselect.Backends() }
-
-// ApplyKernelBackend resolves a backend name through the registry onto opts:
-// native names set Options.KernelFormat, registered builders set
-// Options.EngineBuilder. Unknown names return an error listing the
-// registered set; the empty name is the default and leaves opts untouched.
-func ApplyKernelBackend(opts *Options, name string) error {
-	return autoselect.Apply(opts, name)
-}
 
 // Scale selects a built-in dataset proxy's size.
 type Scale = datasets.Scale
@@ -440,23 +429,3 @@ func Unconstrained() Constraint { return prox.Unconstrained{} }
 // ParseConstraint builds a constraint from a CLI-style spec such as
 // "nonneg", "l1:0.1", "nonneg+l1:0.1", "simplex", or "box:0,1".
 func ParseConstraint(spec string) (Constraint, error) { return prox.Parse(spec) }
-
-// AutoStructureSelector returns an Options.StructureSelector backed by the
-// analytical cost model of the paper's §VI future work: it picks DENSE,
-// CSR, or CSR-H per MTTKRP call from the factor's current sparsity profile
-// and the mode's length. Assign it together with ExploitSparsity:
-//
-//	opts.ExploitSparsity = true
-//	opts.StructureSelector = aoadmm.AutoStructureSelector()
-func AutoStructureSelector() func(leafRows, rank int, accesses int64, density, denseColumnShare float64) Structure {
-	m := autoselect.DefaultModel()
-	return func(leafRows, rank int, accesses int64, density, denseColumnShare float64) Structure {
-		return m.Choose(autoselect.Profile{
-			Rank:             rank,
-			ModeLength:       leafRows,
-			Accesses:         accesses,
-			Density:          density,
-			DenseColumnShare: denseColumnShare,
-		})
-	}
-}

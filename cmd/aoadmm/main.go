@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"aoadmm"
+	"aoadmm/internal/core"
 	"aoadmm/internal/stats"
 )
 
@@ -28,7 +29,7 @@ func main() {
 		rank       = flag.Int("rank", 16, "CPD rank F")
 		constraint = flag.String("constraint", "nonneg", "constraint spec: none|nonneg|l1:L|nonneg+l1:L|l2:L|simplex|box:LO,HI (comma-separate for per-mode)")
 		variant    = flag.String("variant", "blocked", "inner ADMM variant: blocked|base")
-		structure  = flag.String("structure", "csr", "sparse factor structure: dense|csr|hybrid")
+		structure  = flag.String("structure", "csr", "sparse factor structure: dense|csr|hybrid|auto (auto: DENSE/CSR/CSR-H from the cost model)")
 		sparsity   = flag.Bool("exploit-sparsity", true, "exploit dynamic factor sparsity during MTTKRP")
 		threads    = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		maxOuter   = flag.Int("max-outer", 200, "maximum outer iterations")
@@ -36,9 +37,8 @@ func main() {
 		blockSize  = flag.Int("block-size", 50, "blocked ADMM rows per block")
 		seed       = flag.Int64("seed", 1, "random seed for factor initialization")
 		singleCSF  = flag.Bool("single-csf", false, "use one CSF tree for all modes (lower memory)")
-		format     = flag.String("format", "", "MTTKRP kernel backend: csf|alto|auto|probe (default csf; see docs/FORMATS.md)")
+		format     = flag.String("format", "", "MTTKRP kernel backend: csf|alto|auto (default csf; see docs/FORMATS.md)")
 		autoBlock  = flag.Bool("auto-block", false, "choose block size from the analytical model")
-		autoStruct = flag.Bool("auto-structure", false, "choose DENSE/CSR/CSR-H from the cost model")
 		algo       = flag.String("algo", "aoadmm", "solver: aoadmm|hals|als")
 		adaptive   = flag.Bool("adaptive-rho", false, "per-block ADMM penalty rebalancing")
 		output     = flag.String("output", "", "prefix for writing factor matrices (prefix_mode0.txt, ...)")
@@ -56,7 +56,7 @@ func main() {
 		sparsity: *sparsity, threads: *threads, maxOuter: *maxOuter,
 		tol: *tol, blockSize: *blockSize, seed: *seed, output: *output,
 		quiet: *quiet, singleCSF: *singleCSF, format: *format, autoBlock: *autoBlock,
-		autoStruct: *autoStruct, algo: *algo, adaptiveRho: *adaptive,
+		algo: *algo, adaptiveRho: *adaptive,
 		profile: *profile, trace: *trace, ooc: *oocFlag, memBudgetMB: *memBudget,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "aoadmm:", err)
@@ -66,24 +66,24 @@ func main() {
 
 // runConfig carries the resolved CLI flags.
 type runConfig struct {
-	input, dataset, scale            string
-	rank                             int
-	constraint, variant, structure   string
-	sparsity                         bool
-	threads, maxOuter                int
-	tol                              float64
-	blockSize                        int
-	seed                             int64
-	output                           string
-	quiet                            bool
-	singleCSF, autoBlock, autoStruct bool
-	adaptiveRho                      bool
-	format                           string
-	algo                             string
-	profile                          string
-	trace                            string
-	ooc                              bool
-	memBudgetMB                      int64
+	input, dataset, scale          string
+	rank                           int
+	constraint, variant, structure string
+	sparsity                       bool
+	threads, maxOuter              int
+	tol                            float64
+	blockSize                      int
+	seed                           int64
+	output                         string
+	quiet                          bool
+	singleCSF, autoBlock           bool
+	adaptiveRho                    bool
+	format                         string
+	algo                           string
+	profile                        string
+	trace                          string
+	ooc                            bool
+	memBudgetMB                    int64
 }
 
 func run(c runConfig) error {
@@ -129,34 +129,13 @@ func run(c runConfig) error {
 		CollectMetrics:  c.profile != "",
 		Tracer:          tracer,
 	}
-	switch variant {
-	case "blocked":
-		opts.Variant = aoadmm.Blocked
-	case "base", "baseline":
-		opts.Variant = aoadmm.Baseline
-	default:
-		return fmt.Errorf("unknown variant %q", variant)
-	}
-	switch structure {
-	case "dense":
-		opts.Structure = aoadmm.StructDense
-	case "csr":
-		opts.Structure = aoadmm.StructCSR
-	case "hybrid", "csr-h":
-		opts.Structure = aoadmm.StructHybrid
-	default:
-		return fmt.Errorf("unknown structure %q", structure)
+	if opts.Variant, opts.Structure, err = core.ParseSpec(variant, structure); err != nil {
+		return err
 	}
 	opts.SingleCSF = c.singleCSF
 	opts.AutoBlockSize = c.autoBlock
 	opts.AdaptiveRho = c.adaptiveRho
-	if err := aoadmm.ApplyKernelBackend(&opts, c.format); err != nil {
-		return err
-	}
-	if c.autoStruct {
-		opts.ExploitSparsity = true
-		opts.StructureSelector = aoadmm.AutoStructureSelector()
-	}
+	opts.KernelFormat = c.format
 	if !quiet {
 		opts.OnIteration = func(p aoadmm.TracePoint) bool {
 			fmt.Printf("outer %3d  relerr %.6f  %.2fs\n", p.Iteration, p.RelErr, p.Elapsed.Seconds())

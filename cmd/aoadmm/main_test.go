@@ -177,6 +177,30 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownFormat: -format reaches every solver, in memory and
+// out-of-core, and a retired or misspelled name fails naming the offender
+// and the known set instead of silently running CSF.
+func TestRunRejectsUnknownFormat(t *testing.T) {
+	for _, ooc := range []bool{false, true} {
+		for _, algo := range []string{"aoadmm", "als"} {
+			for _, format := range []string{"probe", "blcok-csf"} {
+				c := runConfig{
+					dataset: "patents", scale: "small", rank: 3, constraint: "nonneg",
+					variant: "blocked", structure: "csr", maxOuter: 1, tol: 1e-6,
+					blockSize: 16, seed: 1, quiet: true,
+					algo: algo, format: format, ooc: ooc,
+				}
+				err := run(c)
+				if err == nil {
+					t.Errorf("ooc=%v algo=%s: format %q accepted", ooc, algo, format)
+				} else if !strings.Contains(err.Error(), `"`+format+`"`) || !strings.Contains(err.Error(), "csf, alto, auto") {
+					t.Errorf("ooc=%v algo=%s: error does not name the offender and the known set: %v", ooc, algo, err)
+				}
+			}
+		}
+	}
+}
+
 func TestRunAlternativeSolvers(t *testing.T) {
 	for _, algo := range []string{"hals", "als"} {
 		c := runConfig{
@@ -193,9 +217,9 @@ func TestRunAlternativeSolvers(t *testing.T) {
 func TestRunAutoFeatures(t *testing.T) {
 	c := runConfig{
 		dataset: "reddit", scale: "small", rank: 4, constraint: "nonneg+l1:0.1",
-		variant: "blocked", structure: "csr", maxOuter: 3, tol: 1e-6,
+		variant: "blocked", structure: "auto", sparsity: true, maxOuter: 3, tol: 1e-6,
 		blockSize: 16, seed: 1, quiet: true,
-		singleCSF: true, autoBlock: true, autoStruct: true,
+		singleCSF: true, autoBlock: true,
 	}
 	if err := run(c); err != nil {
 		t.Fatal(err)

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"aoadmm/internal/distnet"
+	"aoadmm/internal/perfmodel"
 	"aoadmm/internal/serve"
 )
 
@@ -142,10 +143,8 @@ func runWorker(coordAddr, name, kernelFormat string, logger *slog.Logger) error 
 	if coordAddr == "" {
 		return fmt.Errorf("-role worker requires -coordinator-addr")
 	}
-	switch kernelFormat {
-	case "", "csf", "alto", "auto":
-	default:
-		return fmt.Errorf("unknown -worker-format %q (want csf|alto|auto)", kernelFormat)
+	if err := perfmodel.CheckKernelFormat(kernelFormat); err != nil {
+		return fmt.Errorf("-worker-format: %w", err)
 	}
 	if name == "" {
 		name, _ = os.Hostname()

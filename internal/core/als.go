@@ -84,9 +84,6 @@ func FactorizeALSOOC(st *ooc.ShardedTensor, opts ALSOptions) (*Result, error) {
 	if err := validateSharded(st); err != nil {
 		return nil, err
 	}
-	if !validOOCFormat(opts.KernelFormat) {
-		return nil, fmt.Errorf("core: unknown out-of-core kernel format %q (known: csf, alto, auto)", opts.KernelFormat)
-	}
 	return factorizeALS(engineSpec{
 		dims:   st.Dims(),
 		normSq: st.NormSq(),

@@ -25,6 +25,7 @@ import (
 	"aoadmm/internal/obs"
 	"aoadmm/internal/ooc"
 	"aoadmm/internal/par"
+	"aoadmm/internal/perfmodel"
 	"aoadmm/internal/prox"
 	"aoadmm/internal/sparse"
 	"aoadmm/internal/stats"
@@ -52,30 +53,53 @@ func (v Variant) String() string {
 }
 
 // Structure selects the leaf-factor representation used during MTTKRP when a
-// factor has gone sparse (§IV-C / Table II).
-type Structure int
+// factor has gone sparse (§IV-C / Table II). The DENSE/CSR/CSR-H cost model
+// behind StructAuto lives beside the kernel-format model in
+// internal/perfmodel, which therefore owns the enum.
+type Structure = perfmodel.Structure
 
 // MTTKRP leaf-factor structures.
 const (
 	// StructDense never compresses factors (Table II's DENSE row).
-	StructDense Structure = iota
+	StructDense = perfmodel.StructDense
 	// StructCSR stores sparse factors in CSR (Table II's CSR row).
-	StructCSR
+	StructCSR = perfmodel.StructCSR
 	// StructHybrid stores sparse factors in the hybrid dense+CSR form
 	// (Table II's CSR-H row).
-	StructHybrid
+	StructHybrid = perfmodel.StructHybrid
+	// StructAuto picks DENSE, CSR, or CSR-H per MTTKRP call from the leaf
+	// factor's current sparsity profile (perfmodel.LeafModel, the paper's
+	// §VI future-work item), in place of the SparseThreshold test.
+	StructAuto = perfmodel.StructAuto
 )
 
-// String names the structure for logs and experiment output.
-func (s Structure) String() string {
-	switch s {
-	case StructCSR:
-		return "CSR"
-	case StructHybrid:
-		return "CSR-H"
+// ParseSpec maps the variant and structure names shared by the CLI and the
+// daemon's job specs onto their enums. Variants: "" or "blocked", "base" or
+// "baseline". Structures: "" or "csr", "dense", "hybrid" or "csr-h", "auto".
+func ParseSpec(variant, structure string) (Variant, Structure, error) {
+	var v Variant
+	switch variant {
+	case "", "blocked":
+		v = Blocked
+	case "base", "baseline":
+		v = Baseline
 	default:
-		return "DENSE"
+		return 0, 0, fmt.Errorf("unknown variant %q (known: blocked, base)", variant)
 	}
+	var st Structure
+	switch structure {
+	case "", "csr":
+		st = StructCSR
+	case "dense":
+		st = StructDense
+	case "hybrid", "csr-h":
+		st = StructHybrid
+	case "auto":
+		st = StructAuto
+	default:
+		return 0, 0, fmt.Errorf("unknown structure %q (known: dense, csr, hybrid, auto)", structure)
+	}
+	return v, st, nil
 }
 
 // DefaultMaxOuterIters matches the paper's cap of 200 outer iterations.
@@ -118,7 +142,10 @@ type Options struct {
 	// §IV-C: factors whose density drops below SparseThreshold are imaged
 	// into the chosen Structure before MTTKRP.
 	ExploitSparsity bool
-	// Structure selects the compressed representation (CSR by default).
+	// Structure selects the compressed representation. The zero value,
+	// StructDense, never compresses; the CLI and daemon default to
+	// StructCSR (see ParseSpec). StructAuto lets the leaf cost model choose
+	// per MTTKRP call, overriding SparseThreshold.
 	Structure Structure
 	// SparseThreshold overrides the 20% density threshold (<= 0 means 0.20).
 	SparseThreshold float64
@@ -133,26 +160,18 @@ type Options struct {
 	// sparse fiber trees, the default), "alto" (the adaptive linearized
 	// format of internal/alto), or "auto" (pick per tensor from the
 	// perfmodel kernel cost model). Out-of-core runs compile each resident
-	// shard in this format. Any other name requires EngineBuilder and fails
-	// loudly without one — formats never fall back silently.
+	// shard in this format, resolving "auto" per shard. Any other name is
+	// an error — formats never fall back silently.
 	KernelFormat string
-	// EngineBuilder, when non-nil, constructs the MTTKRP engine for
-	// in-memory runs instead of the native KernelFormat switch. The
-	// autoselect backend registry produces builders for registered names
-	// (including probe-based selection); ignored out-of-core.
+	// EngineBuilder, when non-nil, constructs the in-memory MTTKRP engine
+	// in place of the KernelFormat build — a hook for wrapping the native
+	// engine (see EngineBuilder), not for adding formats. Ignored
+	// out-of-core.
 	EngineBuilder EngineBuilder
 	// AutoBlockSize, when set, chooses the blocked-ADMM block size per mode
 	// from the analytical model of internal/blockmodel (the paper's §VI
 	// future-work item) instead of the fixed BlockSize.
 	AutoBlockSize bool
-	// StructureSelector, when non-nil and ExploitSparsity is set, picks the
-	// leaf-factor structure per MTTKRP call from the factor's current
-	// sparsity profile, overriding Structure (the paper's other §VI
-	// future-work item; see internal/autoselect). It receives the leaf
-	// factor's row count, the rank, the MTTKRP access count, the factor
-	// density, and the share of factor non-zeros in denser-than-average
-	// columns.
-	StructureSelector func(leafRows, rank int, accesses int64, density, denseColumnShare float64) Structure
 	// InitFactors, when non-nil, seeds the factorization from the given
 	// Kruskal tensor (deep-copied) instead of random factors — e.g. a
 	// checkpoint written by CheckpointDir, or an ALS warm start. Shapes
@@ -320,8 +339,8 @@ type Result struct {
 	// factor.
 	SparseMTTKRPs int
 	// KernelBackends names the MTTKRP backend that served each mode
-	// ("csf", "csf-single", "alto", "ooc-csf", ...), as chosen by the
-	// kernel format options or the autoselect registry.
+	// ("csf", "csf-single", "alto", "ooc-csf", ...), as chosen by
+	// KernelFormat or built by EngineBuilder.
 	KernelBackends []string
 }
 
@@ -365,16 +384,13 @@ func Factorize(x *tensor.COO, opts Options) (*Result, error) {
 
 // FactorizeOOC runs AO-ADMM on a sharded on-disk tensor, streaming shards
 // through the same outer loop as Factorize: per mode, shards are loaded one
-// at a time (prefetched ahead on a background goroutine), compiled to CSF,
-// and their partial MTTKRPs accumulated. ExploitSparsity and SingleCSF are
+// at a time (prefetched ahead on a background goroutine), compiled to
+// Options.KernelFormat, and their partial MTTKRPs accumulated. ExploitSparsity and SingleCSF are
 // inert out-of-core — there is no resident tree to image against. Shard I/O
 // counters land in Result.OOC and the metrics report.
 func FactorizeOOC(st *ooc.ShardedTensor, opts Options) (*Result, error) {
 	if err := validateSharded(st); err != nil {
 		return nil, err
-	}
-	if !validOOCFormat(opts.KernelFormat) {
-		return nil, fmt.Errorf("core: unknown out-of-core kernel format %q (known: csf, alto, auto)", opts.KernelFormat)
 	}
 	return factorize(engineSpec{
 		dims:   st.Dims(),
@@ -662,13 +678,14 @@ func recordScheduler(met *stats.Metrics, tel *par.Telemetry) {
 
 // leafFor decides the leaf-factor representation for one MTTKRP call: the
 // tree's leaf-level factor is compressed when sparsity exploitation is on
-// and its density is below the threshold; otherwise the dense matrix is
-// used directly (nil → dense inside mttkrp.Compute).
+// and its density is below the threshold (under StructAuto, when the leaf
+// cost model says so); otherwise the dense matrix is used directly (nil →
+// dense inside mttkrp.Compute).
 func leafFor(opts Options, tree *csf.Tensor, model *kruskal.Tensor, versions []int, images []sparseImage, res *Result) mttkrp.LeafFactor {
 	if tree == nil || !opts.ExploitSparsity {
 		return nil
 	}
-	if opts.StructureSelector == nil && opts.Structure == StructDense {
+	if opts.Structure == StructDense {
 		return nil
 	}
 	leafMode := tree.Perm[tree.Order()-1]
@@ -680,16 +697,21 @@ func leafFor(opts Options, tree *csf.Tensor, model *kruskal.Tensor, versions []i
 		img.density = density
 
 		structure := opts.Structure
-		useSparse := density < opts.SparseThreshold
-		if opts.StructureSelector != nil {
-			structure = opts.StructureSelector(f.Rows, f.Cols, int64(tree.NNZ()),
-				density, denseColumnShare(f))
-			useSparse = structure != StructDense
+		if structure == StructAuto {
+			structure = perfmodel.DefaultLeafModel().Choose(perfmodel.LeafProfile{
+				Rank:             f.Cols,
+				ModeLength:       f.Rows,
+				Accesses:         int64(tree.NNZ()),
+				Density:          density,
+				DenseColumnShare: denseColumnShare(f),
+			})
+		} else if density >= opts.SparseThreshold {
+			structure = StructDense
 		}
-		switch {
-		case !useSparse || structure == StructDense:
+		switch structure {
+		case StructDense:
 			img.leaf = nil
-		case structure == StructHybrid:
+		case StructHybrid:
 			img.leaf = sparse.FromDenseHybrid(f, 0)
 		default:
 			img.leaf = sparse.FromDense(f, 0)
@@ -702,8 +724,8 @@ func leafFor(opts Options, tree *csf.Tensor, model *kruskal.Tensor, versions []i
 }
 
 // denseColumnShare returns the fraction of a factor's non-zeros that live
-// in columns denser than the column average — the quantity the structure
-// selector uses to judge the CSR-H panel's usefulness.
+// in columns denser than the column average — the quantity the leaf cost
+// model uses to judge the CSR-H panel's usefulness.
 func denseColumnShare(f *dense.Matrix) float64 {
 	colNNZ := make([]int, f.Cols)
 	total := 0

@@ -14,9 +14,8 @@ import (
 	"aoadmm/internal/tensor"
 )
 
-// Kernel backend format names accepted by Options.KernelFormat. Additional
-// backends plug in through Options.EngineBuilder (see internal/autoselect's
-// registry); names outside this set without a builder fail loudly.
+// Kernel format names accepted by Options.KernelFormat. The set is closed
+// and owned by internal/perfmodel: every other name is an error.
 const (
 	// FormatCSF compiles the tensor into compressed sparse fiber trees —
 	// one per mode, or a single tree under SingleCSF. The default.
@@ -27,7 +26,7 @@ const (
 	FormatALTO = perfmodel.FormatALTO
 	// FormatAuto picks CSF or ALTO from the perfmodel kernel cost model
 	// measured on the tensor's structure (internal/perfmodel).
-	FormatAuto = "auto"
+	FormatAuto = perfmodel.FormatAuto
 )
 
 // Engine abstracts where the data tensor lives during the AO loop and which
@@ -35,8 +34,7 @@ const (
 // linearized format, or on disk as mode-0-range shards streamed one at a
 // time. The outer solvers are written against this interface, so every
 // engine shares one loop body (and therefore one convergence and
-// observability path). Engines outside this package register through
-// internal/autoselect and reach the solvers via Options.EngineBuilder.
+// observability path).
 type Engine interface {
 	// LeafTree returns the resident CSF tree that mode m's MTTKRP will
 	// traverse, or nil for engines with no per-mode tree (ALTO, streaming),
@@ -55,13 +53,14 @@ type Engine interface {
 	Backend(m int) string
 }
 
-// EngineBuilder constructs the MTTKRP engine for an in-memory factorization.
-// The autoselect backend registry produces builders for registered format
-// names; Options.EngineBuilder overrides the native format switch entirely.
+// EngineBuilder is a hook for wrapping the native in-memory engine, e.g. to
+// time or trace every MTTKRP call: a builder typically constructs the engine
+// with NewCSFEngine or NewALTOEngine and returns a decorator around it. It
+// is not a way to add kernel formats — the format set is closed.
 type EngineBuilder func(x *tensor.COO, opts Options) (Engine, error)
 
-// newEngine resolves Options.KernelFormat / Options.EngineBuilder for an
-// in-memory run. Unknown format names are an error, never a silent fallback.
+// newEngine builds the in-memory engine for Options.KernelFormat, or hands
+// the build to Options.EngineBuilder when one is set.
 func newEngine(x *tensor.COO, opts Options) (Engine, error) {
 	if opts.EngineBuilder != nil {
 		return opts.EngineBuilder(x, opts)
@@ -69,22 +68,17 @@ func newEngine(x *tensor.COO, opts Options) (Engine, error) {
 	return buildInMemoryEngine(x, opts.KernelFormat, opts.SingleCSF, opts.Rank, opts.Threads)
 }
 
-// buildInMemoryEngine constructs the engine for one of the natively known
-// formats. single only applies to the CSF format.
+// buildInMemoryEngine resolves format for x and compiles it. single only
+// applies to the CSF format.
 func buildInMemoryEngine(x *tensor.COO, format string, single bool, rank, threads int) (Engine, error) {
-	switch format {
-	case "", FormatCSF:
-		return NewCSFEngine(x, single), nil
-	case FormatALTO:
-		return NewALTOEngine(x)
-	case FormatAuto:
-		if perfmodel.ChooseKernelFormat(x, rank, threads) == FormatALTO {
-			return NewALTOEngine(x)
-		}
-		return NewCSFEngine(x, single), nil
-	default:
-		return nil, fmt.Errorf("core: unknown kernel format %q (known: csf, alto, auto; others need an EngineBuilder from the autoselect registry)", format)
+	resolved, err := perfmodel.ResolveKernelFormat(format, x, rank, threads)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	if resolved == FormatALTO {
+		return NewALTOEngine(x)
+	}
+	return NewCSFEngine(x, single), nil
 }
 
 // inMemoryEngine is the classical path: the full tensor compiled into CSF —
@@ -189,15 +183,6 @@ func newOOCEngine(st *ooc.ShardedTensor, rank int, budgetBytes int64, tr *obs.Tr
 	}
 	e.stats.Trace = tr
 	return e
-}
-
-// validOOCFormat reports whether the format name is streamable per shard.
-func validOOCFormat(format string) bool {
-	switch format {
-	case "", FormatCSF, FormatALTO, FormatAuto:
-		return true
-	}
-	return false
 }
 
 func (e *oocEngine) LeafTree(int) *csf.Tensor { return nil }

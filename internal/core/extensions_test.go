@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"aoadmm/internal/dense"
@@ -33,7 +34,12 @@ func TestAutoBlockSizeRuns(t *testing.T) {
 	}
 }
 
-func TestStructureSelectorIsConsulted(t *testing.T) {
+// TestStructAutoMatchesDense runs StructAuto on a planted l1 problem whose
+// factors go sparse: the leaf cost model must compress some MTTKRP calls,
+// and since a compressed leaf changes the representation and never the
+// values, the fit must match the uncompressed StructDense run. The model,
+// not the density threshold, makes the choice.
+func TestStructAutoMatchesDense(t *testing.T) {
 	x, _, err := tensor.PlantedLowRank(tensor.GenOptions{
 		Dims: []int{50, 55, 60}, NNZ: 5000, Rank: 3, Seed: 131,
 		FactorDensity: 0.2, NoiseStd: 0.02,
@@ -41,90 +47,71 @@ func TestStructureSelectorIsConsulted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
-	res, err := Factorize(x, Options{
-		Rank: 6, Seed: 1, MaxOuterIters: 10,
+	opts := Options{
+		// The model only prices compression above DENSE's per-access
+		// latency once the rank is a few dozen.
+		Rank: 32, Seed: 1, MaxOuterIters: 10, Threads: 1,
 		Constraints:     []prox.Operator{prox.NonNegL1{Lambda: 0.3}},
 		ExploitSparsity: true,
-		StructureSelector: func(leafRows, rank int, accesses int64, density, share float64) Structure {
-			calls++
-			if leafRows <= 0 || rank != 6 || accesses <= 0 {
-				t.Errorf("bad selector inputs: rows=%d rank=%d acc=%d", leafRows, rank, accesses)
-			}
-			if density < 0 || density > 1 || share < 0 || share > 1 {
-				t.Errorf("bad selector fractions: density=%v share=%v", density, share)
-			}
-			return StructCSR
-		},
-	})
+		Structure:       StructDense,
+	}
+	fixed, err := Factorize(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
-		t.Fatal("selector never consulted")
+	if fixed.SparseMTTKRPs != 0 {
+		t.Fatalf("StructDense ran %d sparse MTTKRPs", fixed.SparseMTTKRPs)
 	}
-	if res.SparseMTTKRPs == 0 {
-		t.Fatal("selector chose CSR but no sparse MTTKRPs ran")
+	opts.Structure = StructAuto
+	auto, err := Factorize(x, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	if auto.SparseMTTKRPs == 0 {
+		t.Fatal("StructAuto never compressed a leaf factor")
+	}
+	if d := math.Abs(auto.RelErr - fixed.RelErr); d > 1e-12 {
+		t.Fatalf("StructAuto relerr %v vs StructDense %v (diff %g)", auto.RelErr, fixed.RelErr, d)
+	}
 
-func TestStructureSelectorCanForceDense(t *testing.T) {
-	x, _, err := tensor.PlantedLowRank(tensor.GenOptions{
-		Dims: []int{40, 40, 40}, NNZ: 3000, Rank: 3, Seed: 132,
-		FactorDensity: 0.2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Factorize(x, Options{
-		Rank: 5, Seed: 1, MaxOuterIters: 8,
-		Constraints:     []prox.Operator{prox.NonNegL1{Lambda: 0.5}},
-		ExploitSparsity: true,
-		StructureSelector: func(int, int, int64, float64, float64) Structure {
-			return StructDense
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SparseMTTKRPs != 0 {
-		t.Fatalf("selector forced DENSE but %d sparse MTTKRPs ran", res.SparseMTTKRPs)
-	}
-}
-
-func TestStructureSelectorMatchesFixedTrajectory(t *testing.T) {
-	// A selector that always answers CSR must reproduce the fixed-CSR run
-	// exactly (selection changes representation, never values).
-	x, _, err := tensor.PlantedLowRank(tensor.GenOptions{
-		Dims: []int{45, 50, 55}, NNZ: 4000, Rank: 3, Seed: 133,
-		FactorDensity: 0.15, NoiseStd: 0.02,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Options{
-		Rank: 6, Seed: 2, MaxOuterIters: 12,
-		Constraints:     []prox.Operator{prox.NonNegL1{Lambda: 0.3}},
-		ExploitSparsity: true,
-		Structure:       StructCSR,
-	}
-	fixed, err := Factorize(x, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := base
-	sel.StructureSelector = func(leafRows, rank int, acc int64, density, share float64) Structure {
-		if density < DefaultSparseThreshold {
-			return StructCSR
+	// At rank 6 the model prices CSR's per-access latency above streaming a
+	// dense row, so StructAuto must keep the leaves dense even where the
+	// density threshold alone compresses them.
+	opts.Rank = 6
+	for _, st := range []Structure{StructCSR, StructAuto} {
+		opts.Structure = st
+		r, err := Factorize(x, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return StructDense
+		if compressed := r.SparseMTTKRPs > 0; compressed != (st == StructCSR) {
+			t.Fatalf("%v at rank 6 ran %d sparse MTTKRPs", st, r.SparseMTTKRPs)
+		}
 	}
-	selected, err := Factorize(x, sel)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestParseSpec(t *testing.T) {
+	for _, c := range []struct {
+		variant, structure string
+		v                  Variant
+		s                  Structure
+	}{
+		{"", "", Blocked, StructCSR},
+		{"blocked", "csr", Blocked, StructCSR},
+		{"base", "dense", Baseline, StructDense},
+		{"baseline", "hybrid", Baseline, StructHybrid},
+		{"blocked", "csr-h", Blocked, StructHybrid},
+		{"blocked", "auto", Blocked, StructAuto},
+	} {
+		v, s, err := ParseSpec(c.variant, c.structure)
+		if err != nil || v != c.v || s != c.s {
+			t.Errorf("ParseSpec(%q, %q) = %v, %v, %v; want %v, %v", c.variant, c.structure, v, s, err, c.v, c.s)
+		}
 	}
-	if fixed.RelErr != selected.RelErr {
-		t.Fatalf("trajectories differ: %v vs %v", fixed.RelErr, selected.RelErr)
+	for _, c := range [][3]string{{"blokced", "csr", "blokced"}, {"blocked", "sparse", "sparse"}} {
+		if _, _, err := ParseSpec(c[0], c[1]); err == nil || !strings.Contains(err.Error(), c[2]) {
+			t.Errorf("ParseSpec(%q, %q) err = %v, want one naming %q", c[0], c[1], err, c[2])
+		}
 	}
 }
 

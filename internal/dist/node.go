@@ -120,30 +120,20 @@ type LocalKernel interface {
 // its neighbors. The partition is owned by the call and may be sorted in
 // place. Unknown formats fail loudly.
 func NewLocalKernel(part *tensor.COO, format string, rank int) (LocalKernel, error) {
-	if format == "auto" {
-		if part.NNZ() == 0 {
-			format = perfmodel.FormatCSF
-		} else {
-			format = perfmodel.ChooseKernelFormat(part, rank, 1)
-		}
+	resolved, err := perfmodel.ResolveKernelFormat(format, part, rank, 1)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
-	switch format {
-	case "", perfmodel.FormatCSF:
+	// The linearized builder rejects empty tensors; an empty partition
+	// contributes all-zero partials either way.
+	if resolved == perfmodel.FormatCSF || part.NNZ() == 0 {
 		return &csfKernel{set: csf.BuildSet(part), nnz: part.NNZ()}, nil
-	case perfmodel.FormatALTO:
-		if part.NNZ() == 0 {
-			// The linearized builder rejects empty tensors; an empty
-			// partition contributes all-zero partials either way.
-			return &csfKernel{set: csf.BuildSet(part), nnz: 0}, nil
-		}
-		t, err := alto.Build(part, alto.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("dist: alto kernel: %w", err)
-		}
-		return &altoKernel{t: t}, nil
-	default:
-		return nil, fmt.Errorf("dist: unknown kernel format %q (known: csf, alto, auto)", format)
 	}
+	t, err := alto.Build(part, alto.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("dist: alto kernel: %w", err)
+	}
+	return &altoKernel{t: t}, nil
 }
 
 type csfKernel struct {

@@ -139,7 +139,7 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 }
 
 // LoadCheckpointMeta reads only the meta record of a checkpoint directory —
-// the cheap existence/progress probe services poll while a run is live.
+// the cheap existence/progress check services poll while a run is live.
 func LoadCheckpointMeta(dir string) (*CheckpointMeta, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, "checkpoint.json"))
 	if err != nil {

@@ -166,10 +166,8 @@ func (s *ShardedTensor) MTTKRPKernel(format string, mode int, factors []*dense.M
 	if mode < 0 || mode >= s.Order() {
 		return fmt.Errorf("ooc: mode %d out of range [0, %d)", mode, s.Order())
 	}
-	switch format {
-	case "", "csf", "alto", "auto":
-	default:
-		return fmt.Errorf("ooc: unknown kernel format %q (known: csf, alto, auto)", format)
+	if err := perfmodel.CheckKernelFormat(format); err != nil {
+		return fmt.Errorf("ooc: %w", err)
 	}
 	order := s.Order()
 
@@ -218,20 +216,17 @@ func (s *ShardedTensor) MTTKRPKernel(format string, mode int, factors []*dense.M
 
 		computeSpan := st.tracer().Begin("ooc", "shard_compute", mode, obs.TIDDriver, int64(p.idx))
 
-		// Resolve "auto" per shard: different shards of one tensor can
-		// have very different fiber structure, so each gets its own
-		// cost-model decision.
-		shardFormat := format
-		if format == "auto" {
-			shardFormat = perfmodel.ChooseKernelFormat(p.coo, out.Cols, mo.Threads)
-		}
+		// Resolve the format per shard: under "auto" different shards of
+		// one tensor can have very different fiber structure, so each gets
+		// its own cost-model decision. The name was checked above.
+		shardFormat, _ := perfmodel.ResolveKernelFormat(format, p.coo, out.Cols, mo.Threads)
 
 		// Compile this shard's kernel structure. The shard COO is owned by
 		// this call, so the CSF build may sort it in place — no defensive
 		// clone (the ALTO build never mutates its input).
 		var kernelErr error
 		switch shardFormat {
-		case "alto":
+		case perfmodel.FormatALTO:
 			at, err := alto.Build(p.coo, alto.Options{})
 			if err != nil {
 				kernelErr = fmt.Errorf("ooc: shard %d alto build: %w", p.idx, err)
@@ -243,7 +238,7 @@ func (s *ShardedTensor) MTTKRPKernel(format string, mode int, factors []*dense.M
 			at.MTTKRP(mode, factors, scratch, mo)
 			dense.AXPY(out, 1, scratch)
 			st.shrink(altoBytes)
-		default: // "" or "csf"
+		default: // perfmodel.FormatCSF
 			tree := csf.Build(p.coo, csf.DefaultPerm(order, mode))
 			treeBytes := int64(tree.MemoryBytes())
 			st.grow(treeBytes)

@@ -21,14 +21,49 @@
 package perfmodel
 
 import (
+	"fmt"
+
 	"aoadmm/internal/tensor"
 )
 
-// Kernel format names shared by the cost model and the backend registry.
+// Kernel format names: the closed set every MTTKRP entry point accepts. The
+// empty name is FormatCSF. CheckKernelFormat and ResolveKernelFormat are the
+// only places that interpret them.
 const (
 	FormatCSF  = "csf"
 	FormatALTO = "alto"
+	// FormatAuto picks FormatCSF or FormatALTO per tensor with
+	// ChooseKernelFormat.
+	FormatAuto = "auto"
 )
+
+// CheckKernelFormat returns an error naming the offender and the known set
+// unless name is "", FormatCSF, FormatALTO, or FormatAuto. Formats never fall
+// back silently.
+func CheckKernelFormat(name string) error {
+	switch name {
+	case "", FormatCSF, FormatALTO, FormatAuto:
+		return nil
+	}
+	return fmt.Errorf("unknown kernel format %q (known: %s, %s, %s)", name, FormatCSF, FormatALTO, FormatAuto)
+}
+
+// ResolveKernelFormat checks name and resolves it to the format that builds
+// x: FormatCSF or FormatALTO. "" is FormatCSF; FormatAuto asks
+// ChooseKernelFormat at the given rank and thread count (an empty tensor
+// prices both at zero and ties to FormatCSF).
+func ResolveKernelFormat(name string, x *tensor.COO, rank, threads int) (string, error) {
+	if err := CheckKernelFormat(name); err != nil {
+		return "", err
+	}
+	switch name {
+	case FormatALTO:
+		return FormatALTO, nil
+	case FormatAuto:
+		return ChooseKernelFormat(x, rank, threads), nil
+	}
+	return FormatCSF, nil
+}
 
 // KernelProfile captures the structural quantities the kernel cost model
 // needs, measured from a COO tensor.
@@ -248,8 +283,7 @@ func (k KernelModel) ChooseKernelFormat(p *KernelProfile) string {
 }
 
 // ChooseKernelFormat selects CSF vs ALTO for a tensor with the default
-// model — the one-call entry point used by the "auto" backend, the OOC
-// shard streamer, and distnet workers.
+// model — the one-call entry point behind FormatAuto.
 func ChooseKernelFormat(x *tensor.COO, rank, threads int) string {
 	p := ProfileTensor(x, rank, threads)
 	return DefaultKernelModel().ChooseKernelFormat(&p)

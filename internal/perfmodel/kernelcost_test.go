@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,6 +47,36 @@ func TestChooseKernelFormatBySkew(t *testing.T) {
 	}
 	if got := ChooseKernelFormat(genTensor(t, uniformGen()), 16, 1); got != FormatCSF {
 		t.Fatalf("uniform long-fiber tensor chose %q, want csf", got)
+	}
+}
+
+// TestResolveKernelFormat pins the closed name set: the empty name is CSF,
+// explicit names pass through, "auto" resolves through the cost model (CSF
+// on an empty tensor), and any other name fails naming itself and the set.
+func TestResolveKernelFormat(t *testing.T) {
+	skewed := genTensor(t, skewedGen())
+	empty := tensor.NewCOO([]int{3, 3, 3}, 0)
+	for _, c := range []struct {
+		name string
+		x    *tensor.COO
+		want string
+	}{
+		{"", skewed, FormatCSF},
+		{FormatCSF, skewed, FormatCSF},
+		{FormatALTO, empty, FormatALTO},
+		{FormatAuto, skewed, FormatALTO},
+		{FormatAuto, empty, FormatCSF},
+	} {
+		got, err := ResolveKernelFormat(c.name, c.x, 16, 1)
+		if err != nil || got != c.want {
+			t.Errorf("ResolveKernelFormat(%q) = %q, %v; want %q", c.name, got, err, c.want)
+		}
+	}
+	for _, name := range []string{"probe", "CSF", "blcok-csf"} {
+		if _, err := ResolveKernelFormat(name, empty, 16, 1); err == nil ||
+			!strings.Contains(err.Error(), `"`+name+`"`) || !strings.Contains(err.Error(), "csf, alto, auto") {
+			t.Errorf("ResolveKernelFormat(%q) err = %v, want one naming it and the known set", name, err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package autoselect implements the paper's first future-work item (§VI):
-// automatically selecting the best data structure for the sparse matrix
-// factors during MTTKRP — DENSE, CSR, or the hybrid CSR-H — from the tensor
-// and factor properties, instead of a fixed density threshold.
+// Leaf-structure cost model: the paper's first future-work item (§VI),
+// automatically selecting the data structure for the sparse leaf factor
+// during MTTKRP — DENSE, CSR, or the hybrid CSR-H — from the tensor and
+// factor properties, instead of a fixed density threshold.
 //
 // The model prices one outer iteration's worth of leaf-factor accesses for
 // each candidate structure:
@@ -19,15 +19,44 @@
 // Construction cost (one pass over the dense factor per rebuild) is
 // amortized over the ADMM iterations of the same outer iteration, mirroring
 // the paper's O(K·F) vs O(F²·I) argument.
-package autoselect
+package perfmodel
 
-import (
-	"aoadmm/internal/core"
+// Structure selects the leaf-factor representation used during MTTKRP when a
+// factor has gone sparse (§IV-C / Table II).
+type Structure int
+
+// MTTKRP leaf-factor structures.
+const (
+	// StructDense never compresses factors (Table II's DENSE row).
+	StructDense Structure = iota
+	// StructCSR stores sparse factors in CSR (Table II's CSR row).
+	StructCSR
+	// StructHybrid stores sparse factors in the hybrid dense+CSR form
+	// (Table II's CSR-H row).
+	StructHybrid
+	// StructAuto picks DENSE, CSR, or CSR-H per MTTKRP call from the leaf
+	// factor's current sparsity profile with the default LeafModel. The
+	// model's choice replaces the density threshold.
+	StructAuto
 )
 
-// Profile captures the quantities the selector needs. All counts are per
+// String names the structure for logs and experiment output.
+func (s Structure) String() string {
+	switch s {
+	case StructCSR:
+		return "CSR"
+	case StructHybrid:
+		return "CSR-H"
+	case StructAuto:
+		return "AUTO"
+	default:
+		return "DENSE"
+	}
+}
+
+// LeafProfile captures the quantities the selector needs. All counts are per
 // MTTKRP invocation of one mode.
-type Profile struct {
+type LeafProfile struct {
 	// Rank is F.
 	Rank int
 	// ModeLength is the leaf factor's row count (the length of the mode the
@@ -45,14 +74,15 @@ type Profile struct {
 	DenseColumnShare float64
 }
 
-// Costs are the modeled per-MTTKRP costs (arbitrary units: cache-line
+// LeafCosts are the modeled per-MTTKRP costs (arbitrary units: cache-line
 // fetches plus latency-weighted events).
-type Costs struct {
+type LeafCosts struct {
 	Dense, CSR, Hybrid float64
 }
 
-// Model holds the cost constants. Zero value is unusable; use DefaultModel.
-type Model struct {
+// LeafModel holds the cost constants. Zero value is unusable; use
+// DefaultLeafModel.
+type LeafModel struct {
 	// LatencyWeight is the cost of one dependent memory fetch relative to
 	// one streamed 8-byte word.
 	LatencyWeight float64
@@ -70,11 +100,11 @@ type Model struct {
 	BuildAmortization float64
 }
 
-// DefaultModel returns constants that reproduce the paper's empirical
+// DefaultLeafModel returns constants that reproduce the paper's empirical
 // findings: CSR gainful below ~20% density, CSR-H preferred on the
 // shorter-mode Reddit but not the 30x-longer Amazon.
-func DefaultModel() Model {
-	return Model{
+func DefaultLeafModel() LeafModel {
+	return LeafModel{
 		LatencyWeight:      8,
 		CSRFetches:         3,
 		HybridFetches:      1.5,
@@ -84,12 +114,12 @@ func DefaultModel() Model {
 }
 
 // Evaluate prices the three structures for a profile.
-func (m Model) Evaluate(p Profile) Costs {
+func (m LeafModel) Evaluate(p LeafProfile) LeafCosts {
 	f := float64(p.Rank)
 	acc := float64(p.Accesses)
 	rows := float64(p.ModeLength)
 	if acc <= 0 || f <= 0 || rows <= 0 {
-		return Costs{}
+		return LeafCosts{}
 	}
 
 	// DENSE: F words streamed per access + one latency event.
@@ -122,22 +152,23 @@ func (m Model) Evaluate(p Profile) Costs {
 	latency := m.LatencyWeight * (m.CSRFetches - (m.CSRFetches-m.HybridFetches)*resident*w + (1-resident)*w)
 	hybrid := acc*(panelCols+tailNNZ*1.5+latency) + build*1.2 // hybrid build is pricier
 
-	return Costs{Dense: dense, CSR: csr, Hybrid: hybrid}
+	return LeafCosts{Dense: dense, CSR: csr, Hybrid: hybrid}
 }
 
-// Choose returns the cheapest structure for the profile.
-func (m Model) Choose(p Profile) core.Structure {
+// Choose returns the cheapest structure for the profile: StructDense,
+// StructCSR, or StructHybrid, never StructAuto.
+func (m LeafModel) Choose(p LeafProfile) Structure {
 	c := m.Evaluate(p)
 	if c.Dense == 0 && c.CSR == 0 && c.Hybrid == 0 {
-		return core.StructDense
+		return StructDense
 	}
-	best := core.StructDense
+	best := StructDense
 	bestCost := c.Dense
 	if c.CSR < bestCost {
-		best, bestCost = core.StructCSR, c.CSR
+		best, bestCost = StructCSR, c.CSR
 	}
 	if c.Hybrid < bestCost {
-		best = core.StructHybrid
+		best = StructHybrid
 	}
 	return best
 }

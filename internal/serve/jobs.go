@@ -24,6 +24,7 @@ import (
 	"aoadmm/internal/kruskal"
 	"aoadmm/internal/obs"
 	"aoadmm/internal/ooc"
+	"aoadmm/internal/perfmodel"
 	"aoadmm/internal/prox"
 	"aoadmm/internal/stats"
 	"aoadmm/internal/stream"
@@ -80,8 +81,8 @@ type JobSpec struct {
 	BlockSize     int     `json:"block_size,omitempty"`
 	Seed          int64   `json:"seed,omitempty"`
 	// ExploitSparsity enables §IV-C factor compression; Structure picks
-	// dense|csr|hybrid (default csr). AdaptiveRho enables per-block rho
-	// rebalancing. AO-ADMM only.
+	// dense|csr|hybrid|auto (default csr; names as core.ParseSpec).
+	// AdaptiveRho enables per-block rho rebalancing. AO-ADMM only.
 	ExploitSparsity bool   `json:"exploit_sparsity,omitempty"`
 	Structure       string `json:"structure,omitempty"`
 	AdaptiveRho     bool   `json:"adaptive_rho,omitempty"`
@@ -196,20 +197,11 @@ func (s *JobSpec) validate() error {
 	default:
 		return fmt.Errorf("unknown algo %q (want aoadmm|als|hals)", s.Algo)
 	}
-	switch s.Variant {
-	case "", "blocked", "base", "baseline":
-	default:
-		return fmt.Errorf("unknown variant %q", s.Variant)
+	if _, _, err := core.ParseSpec(s.Variant, s.Structure); err != nil {
+		return err
 	}
-	switch s.Structure {
-	case "", "dense", "csr", "hybrid", "csr-h":
-	default:
-		return fmt.Errorf("unknown structure %q", s.Structure)
-	}
-	switch s.Format {
-	case "", core.FormatCSF, core.FormatALTO, core.FormatAuto:
-	default:
-		return fmt.Errorf("unknown format %q (want csf|alto|auto)", s.Format)
+	if err := perfmodel.CheckKernelFormat(s.Format); err != nil {
+		return err
 	}
 	if s.Format != "" && s.DistWorkers > 1 {
 		return fmt.Errorf("dist_workers does not support per-job format selection (workers pick their own kernel)")
@@ -1300,9 +1292,14 @@ func (m *Manager) runSolver(ctx context.Context, jobID string, attempt int, spec
 		if spec.DistWorkers > 1 {
 			return m.runDistSolver(ctx, jobID, spec, resume, sharded, publish, every)
 		}
+		variant, structure, err := core.ParseSpec(spec.Variant, spec.Structure)
+		if err != nil {
+			return nil, err
+		}
 		opts := core.Options{
 			Rank: spec.Rank, MaxOuterIters: spec.MaxOuterIters, Tol: spec.Tol,
 			Threads: spec.Threads, BlockSize: spec.BlockSize, Seed: spec.Seed,
+			Variant: variant, Structure: structure,
 			ExploitSparsity:   spec.ExploitSparsity,
 			AdaptiveRho:       spec.AdaptiveRho,
 			KernelFormat:      spec.Format,
@@ -1334,18 +1331,6 @@ func (m *Manager) runSolver(ctx context.Context, jobID string, attempt int, spec
 				return nil, err
 			}
 			opts.Constraints = cs
-		}
-		switch spec.Variant {
-		case "base", "baseline":
-			opts.Variant = core.Baseline
-		}
-		switch spec.Structure {
-		case "dense":
-			opts.Structure = core.StructDense
-		case "hybrid", "csr-h":
-			opts.Structure = core.StructHybrid
-		default:
-			opts.Structure = core.StructCSR
 		}
 		if sharded != nil {
 			return core.FactorizeOOC(sharded, opts)
@@ -1590,8 +1575,14 @@ func (m *Manager) executeRefit(ctx context.Context, jobID string, attempt int, s
 			return true
 		}
 	}
+	variant, structure, err := core.ParseSpec(src.Variant, src.Structure)
+	if err != nil {
+		return nil, err
+	}
 	opts := core.Options{
 		Rank:              head.K.Rank(),
+		Variant:           variant,
+		Structure:         structure,
 		MaxOuterIters:     pick(spec.MaxOuterIters, src.MaxOuterIters),
 		Tol:               spec.Tol,
 		Threads:           pick(spec.Threads, src.Threads),
@@ -1619,18 +1610,6 @@ func (m *Manager) executeRefit(ctx context.Context, jobID string, attempt int, s
 			return nil, fmt.Errorf("serve: lineage constraint %q: %w", head.Meta.Constraint, err)
 		}
 		opts.Constraints = cs
-	}
-	switch src.Variant {
-	case "base", "baseline":
-		opts.Variant = core.Baseline
-	}
-	switch src.Structure {
-	case "dense":
-		opts.Structure = core.StructDense
-	case "hybrid", "csr-h":
-		opts.Structure = core.StructHybrid
-	default:
-		opts.Structure = core.StructCSR
 	}
 	if resume != nil {
 		// A crash-recovered refit attempt resumes its own checkpoint; the

@@ -423,7 +423,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // distHealth is the /healthz cluster-liveness section: one entry per
-// connected worker with its last-heartbeat age, so an operator (or probe)
+// connected worker with its last-heartbeat age, so an operator (or monitor)
 // sees a wedged worker before a job does. Always present; enabled=false on
 // a standalone daemon.
 func (s *Server) distHealth() map[string]any {
