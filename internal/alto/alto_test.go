@@ -104,6 +104,34 @@ func TestMTTKRPParityCSF(t *testing.T) {
 	}
 }
 
+// TestMTTKRPDeterministicPerThreadCount pins the determinism contract: at a
+// fixed thread count, repeated MTTKRPs are bitwise identical. The
+// forced-intervals shape sends mode 0 down the privatized fallback, whose
+// partial sums once depended on which worker claimed which interval.
+func TestMTTKRPDeterministicPerThreadCount(t *testing.T) {
+	dims := []int{50, 40, 45}
+	x := genUniform(t, dims, 12000, nil, 42)
+	at, err := Build(x, Options{Intervals: 64})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	const rank = 9
+	factors := randFactors(dims, rank, 7)
+	for m := range dims {
+		for _, threads := range []int{2, 4} {
+			first := dense.New(dims[m], rank)
+			at.MTTKRP(m, factors, first, mttkrp.Options{Threads: threads})
+			for rep := 0; rep < 50; rep++ {
+				again := dense.New(dims[m], rank)
+				at.MTTKRP(m, factors, again, mttkrp.Options{Threads: threads})
+				if d := dense.MaxAbsDiff(first, again); d != 0 {
+					t.Fatalf("mode %d threads %d repeat %d: not deterministic (max diff %g)", m, threads, rep, d)
+				}
+			}
+		}
+	}
+}
+
 // TestMTTKRPParityWideKeys exercises the 128-bit key path: five modes of
 // 8192 need 65 key bits. Parity is still pinned to the CSF oracle.
 func TestMTTKRPParityWideKeys(t *testing.T) {

@@ -6,11 +6,15 @@
 // Parallel execution splits non-zeros — not slices — across workers: each
 // partition interval accumulates into a private buffer bounded by the
 // interval's precomputed output-index range, and a second pass recombines
-// the buffers into the output in fixed interval order (deterministic for any
-// thread count). When the bounds are too loose for that to pay (long uniform
-// fibers spread every interval across most of the output), the kernel falls
-// back to per-thread full-output privatization, the same strategy as
-// mttkrp.ComputeMode.
+// the buffers into the output in fixed interval order. When the bounds are
+// too loose for that to pay (long uniform fibers spread every interval
+// across most of the output), the kernel falls back to full-output
+// privatization over one fixed group of consecutive intervals per thread,
+// the same strategy as mttkrp.ComputeMode. Either way partial sums are keyed
+// by work partition, never by which worker ran it, so the result is
+// bitwise-reproducible across runs at a fixed thread count. It is not
+// reproducible across thread counts: the serial path, the bounded path and
+// each group count associate the sums differently.
 package alto
 
 import (
@@ -128,27 +132,25 @@ func (t *Tensor) mttkrpBounded(mode int, factors []*dense.Matrix, out *dense.Mat
 	})
 }
 
-// mttkrpPrivatized gives each worker a full private output matrix and
-// reduces them in tid order — the fallback when interval bounds cover most
+// mttkrpPrivatized splits the intervals into one fixed group of consecutive
+// intervals per thread, gives each group a full private output matrix, and
+// reduces them in group order — the fallback when interval bounds cover most
 // of the output mode and bounded buffers would cost more than privatization.
+// Intervals are nnz-balanced, so equal-count groups balance too.
 func (t *Tensor) mttkrpPrivatized(mode int, factors []*dense.Matrix, out *dense.Matrix, rank, threads int, tel *par.Telemetry) {
 	nIv := t.NumIntervals()
-	if threads > nIv {
-		threads = nIv
-	}
-	priv := make([]*dense.Matrix, threads)
-	par.DynamicItemsT(tel, nIv, threads, func(tid, iv int) {
-		if priv[tid] == nil {
-			priv[tid] = dense.New(out.Rows, rank)
+	groups := min(threads, nIv)
+	priv := make([]*dense.Matrix, groups)
+	par.StaticT(tel, nIv, groups, func(g, begin, end int) {
+		p := dense.New(out.Rows, rank)
+		for iv := begin; iv < end; iv++ {
+			t.accRange(mode, t.parts[iv], t.parts[iv+1], factors, p.Data, 0, rank)
 		}
-		t.accRange(mode, t.parts[iv], t.parts[iv+1], factors, priv[tid].Data, 0, rank)
+		priv[g] = p
 	})
 	out.Zero()
 	par.Static(out.Rows, threads, func(tid, rb, re int) {
 		for _, p := range priv {
-			if p == nil {
-				continue
-			}
 			for i := rb; i < re; i++ {
 				dst := out.Row(i)
 				for q, v := range p.Row(i) {

@@ -1,18 +1,20 @@
-// Package core implements the outer AO-ADMM loop (Algorithm 2 of the paper):
+// Package core implements the outer AO loop (Algorithm 2 of the paper):
 // cyclic per-mode updates, each consisting of a Gram product, an MTTKRP, and
-// an inner ADMM solve, plus the convergence bookkeeping of §V-A and the
-// dynamic factor-sparsity management of §IV-C.
+// a block update, plus the convergence bookkeeping of §V-A and the dynamic
+// factor-sparsity management of §IV-C.
 //
-// The package also contains an unconstrained CPD-ALS solver used as a
-// correctness cross-check: with no constraints, AO-ADMM and ALS minimize the
-// same objective and must reach comparable fits.
+// The block update is the only part that differs between solvers. AO-ADMM
+// runs the inner ADMM; the unconstrained CPD-ALS cross-check (with no
+// constraints, AO-ADMM and ALS minimize the same objective and must reach
+// comparable fits) solves the normal equations exactly; the non-negative
+// HALS baseline updates one column at a time. All three run through the one
+// loop in factorize.
 package core
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"aoadmm/internal/admm"
@@ -257,27 +259,11 @@ func (o *Options) fill(order int) error {
 	if o.Rank <= 0 {
 		return fmt.Errorf("core: Rank must be positive, got %d", o.Rank)
 	}
-	switch len(o.Constraints) {
-	case 0:
-		o.Constraints = make([]prox.Operator, order)
-		for m := range o.Constraints {
-			o.Constraints[m] = prox.Unconstrained{}
-		}
-	case 1:
-		c := o.Constraints[0]
-		o.Constraints = make([]prox.Operator, order)
-		for m := range o.Constraints {
-			o.Constraints[m] = c
-		}
-	case order:
-		for m, c := range o.Constraints {
-			if c == nil {
-				o.Constraints[m] = prox.Unconstrained{}
-			}
-		}
-	default:
-		return fmt.Errorf("core: %d constraints for order-%d tensor", len(o.Constraints), order)
+	cs, err := prox.Broadcast(o.Constraints, order)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
+	o.Constraints = cs
 	if o.MaxOuterIters <= 0 {
 		o.MaxOuterIters = DefaultMaxOuterIters
 	}
@@ -364,22 +350,54 @@ type engineSpec struct {
 	build  func() (Engine, error)
 }
 
-// Factorize runs AO-ADMM (Algorithm 2) on an in-memory tensor.
-func Factorize(x *tensor.COO, opts Options) (*Result, error) {
+// inMemorySpec checks an in-memory tensor — the shared preconditions of the
+// in-memory entry points — and describes it to the loop.
+func inMemorySpec(x *tensor.COO, opts Options) (engineSpec, error) {
 	if x.Order() < 2 {
-		return nil, fmt.Errorf("core: tensor must have >= 2 modes")
+		return engineSpec{}, fmt.Errorf("core: tensor must have >= 2 modes")
 	}
 	if x.NNZ() == 0 {
-		return nil, fmt.Errorf("core: empty tensor")
+		return engineSpec{}, fmt.Errorf("core: empty tensor")
 	}
 	if err := x.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid tensor: %w", err)
+		return engineSpec{}, fmt.Errorf("core: invalid tensor: %w", err)
 	}
-	return factorize(engineSpec{
+	return engineSpec{
 		dims:   x.Dims,
 		normSq: x.NormSq(),
 		build:  func() (Engine, error) { return newEngine(x, opts) },
-	}, opts)
+	}, nil
+}
+
+// oocSpec checks a sharded tensor — the shared preconditions of the
+// out-of-core entry points; the per-shard invariants were already checked by
+// ooc.Open — and describes it to the loop.
+func oocSpec(st *ooc.ShardedTensor, opts Options) (engineSpec, error) {
+	if st == nil {
+		return engineSpec{}, fmt.Errorf("core: nil sharded tensor")
+	}
+	if st.Order() < 2 {
+		return engineSpec{}, fmt.Errorf("core: tensor must have >= 2 modes")
+	}
+	if st.NNZ() == 0 {
+		return engineSpec{}, fmt.Errorf("core: empty tensor")
+	}
+	return engineSpec{
+		dims:   st.Dims(),
+		normSq: st.NormSq(),
+		build: func() (Engine, error) {
+			return newOOCEngine(st, opts.Rank, opts.MemBudgetBytes, opts.Tracer, opts.KernelFormat), nil
+		},
+	}, nil
+}
+
+// Factorize runs AO-ADMM (Algorithm 2) on an in-memory tensor.
+func Factorize(x *tensor.COO, opts Options) (*Result, error) {
+	spec, err := inMemorySpec(x, opts)
+	if err != nil {
+		return nil, err
+	}
+	return factorize(spec, opts, admmStep)
 }
 
 // FactorizeOOC runs AO-ADMM on a sharded on-disk tensor, streaming shards
@@ -389,20 +407,96 @@ func Factorize(x *tensor.COO, opts Options) (*Result, error) {
 // inert out-of-core — there is no resident tree to image against. Shard I/O
 // counters land in Result.OOC and the metrics report.
 func FactorizeOOC(st *ooc.ShardedTensor, opts Options) (*Result, error) {
-	if err := validateSharded(st); err != nil {
+	spec, err := oocSpec(st, opts)
+	if err != nil {
 		return nil, err
 	}
-	return factorize(engineSpec{
-		dims:   st.Dims(),
-		normSq: st.NormSq(),
-		build: func() (Engine, error) {
-			return newOOCEngine(st, opts.Rank, opts.MemBudgetBytes, opts.Tracer, opts.KernelFormat), nil
-		},
-	}, opts)
+	return factorize(spec, opts, admmStep)
 }
 
-// factorize is the engine-agnostic AO-ADMM outer loop.
-func factorize(spec engineSpec, opts Options) (*Result, error) {
+// modeStep is the block update of the AO loop (Algorithm 2, lines 6/10/14):
+// given mode m's MTTKRP K and the Hadamard Gram product G of the other
+// modes, it overwrites the factor A_m. It is the only part of the loop that
+// differs between AO-ADMM, ALS and HALS.
+type modeStep struct {
+	// solver tags error messages ("ALS ", "HALS "; empty for AO-ADMM).
+	solver string
+	// kernel and label name the metrics kernel and pprof label the update is
+	// charged to; its wall time always lands in the ADMM breakdown phase.
+	kernel stats.Kernel
+	label  string
+	// update overwrites a and returns the inner iterations it ran (the
+	// maximum block count for blocked ADMM) and the per-row work Σ rows·iters.
+	update func(m int, a, k, g *dense.Matrix) (iters int, rowIters int64, err error)
+	// duals is the step's scaled dual state, reported in Result.Duals and
+	// checkpoints; nil for steps without one.
+	duals []*dense.Matrix
+}
+
+// stepBuilder makes a run's step from its filled options, once the run's
+// metrics collector and scheduler telemetry (both nil when off) exist.
+type stepBuilder func(opts *Options, dims []int, met *stats.Metrics, tel *par.Telemetry) (modeStep, error)
+
+// admmStep is AO-ADMM's update: the blocked inner ADMM of §IV-B (block size
+// from Options or, under AutoBlockSize, from internal/blockmodel), or the
+// baseline of §IV-A, each warm-started from the mode's scaled duals.
+func admmStep(opts *Options, dims []int, met *stats.Metrics, tel *par.Telemetry) (modeStep, error) {
+	if opts.InitDuals != nil {
+		if err := checkInitDuals(opts.InitDuals, dims, opts.Rank); err != nil {
+			return modeStep{}, err
+		}
+	}
+	duals := make([]*dense.Matrix, len(dims))
+	for m := range duals {
+		if opts.InitDuals != nil {
+			duals[m] = opts.InitDuals[m].Clone()
+			if opts.DualScale > 0 && opts.DualScale != 1 {
+				dense.Scale(duals[m], opts.DualScale)
+			}
+		} else {
+			duals[m] = dense.New(dims[m], opts.Rank)
+		}
+	}
+	ws := &admm.Workspace{}
+	cfg := admm.Config{
+		Eps:         opts.InnerEps,
+		MaxIters:    opts.InnerMaxIters,
+		Threads:     opts.Threads,
+		BlockSize:   opts.BlockSize,
+		AdaptiveRho: opts.AdaptiveRho,
+		Collect:     met != nil,
+		Telem:       tel,
+	}
+	run := admm.RunBlocked
+	if opts.Variant == Baseline {
+		run = admm.Run
+	}
+	return modeStep{
+		kernel: stats.KernelADMMInner,
+		label:  "admm",
+		duals:  duals,
+		update: func(m int, a, k, g *dense.Matrix) (int, int64, error) {
+			cfg.Prox = opts.Constraints[m]
+			if opts.AutoBlockSize && opts.Variant != Baseline {
+				cfg.BlockSize = blockmodel.DefaultModel().Choose(dims[m], opts.Rank, par.Threads(opts.Threads))
+			}
+			st, err := run(a, duals[m], k, g, ws, cfg)
+			if err != nil {
+				return 0, 0, err
+			}
+			if st.Timing != nil {
+				met.AddKernel(stats.KernelCholesky, m, st.Timing.Cholesky)
+				met.AddKernel(stats.KernelProx, m, st.Timing.Prox)
+			}
+			met.RecordADMMSolve(st.BlockIters, st.RhoAdaptations)
+			return st.Iterations, st.RowIterations, nil
+		},
+	}, nil
+}
+
+// factorize is the engine-agnostic AO outer loop every solver runs;
+// newStep supplies the per-mode update.
+func factorize(spec engineSpec, opts Options, newStep stepBuilder) (*Result, error) {
 	order := len(spec.dims)
 	if err := opts.fill(order); err != nil {
 		return nil, err
@@ -442,31 +536,18 @@ func factorize(spec engineSpec, opts Options) (*Result, error) {
 		}
 		model = opts.InitFactors.Clone()
 	} else {
-		rng := rand.New(rand.NewSource(opts.Seed))
-		model = kruskal.Random(spec.dims, opts.Rank, rng)
-		scaleInit(model, xNormSq, opts.Threads)
+		model = kruskal.Init(spec.dims, opts.Rank, opts.Seed, xNormSq, opts.Threads)
 	}
-	if opts.InitDuals != nil {
-		if err := checkInitDuals(opts.InitDuals, spec.dims, opts.Rank); err != nil {
-			return nil, err
-		}
+	step, err := newStep(&opts, spec.dims, met, tel)
+	if err != nil {
+		return nil, err
 	}
-	duals := make([]*dense.Matrix, order)
 	grams := make([]*dense.Matrix, order)
 	versions := make([]int, order)
 	images := make([]sparseImage, order)
 	for m := 0; m < order; m++ {
-		if opts.InitDuals != nil {
-			duals[m] = opts.InitDuals[m].Clone()
-			if opts.DualScale > 0 && opts.DualScale != 1 {
-				dense.Scale(duals[m], opts.DualScale)
-			}
-		} else {
-			duals[m] = dense.New(spec.dims[m], opts.Rank)
-		}
 		grams[m] = dense.Gram(model.Factors[m], opts.Threads)
 	}
-	ws := &admm.Workspace{}
 	kmat := dense.New(maxDim(spec.dims), opts.Rank)
 
 	if opts.StartIter < 0 {
@@ -474,7 +555,7 @@ func factorize(spec engineSpec, opts Options) (*Result, error) {
 	}
 	res := &Result{
 		Factors:    model,
-		Duals:      duals,
+		Duals:      step.duals,
 		Breakdown:  bd,
 		Metrics:    met,
 		Trace:      &stats.Trace{},
@@ -483,16 +564,6 @@ func factorize(spec engineSpec, opts Options) (*Result, error) {
 	}
 	if opts.PrevRelErr > 0 {
 		res.RelErr = opts.PrevRelErr
-	}
-
-	admmCfg := admm.Config{
-		Eps:         opts.InnerEps,
-		MaxIters:    opts.InnerMaxIters,
-		Threads:     opts.Threads,
-		BlockSize:   opts.BlockSize,
-		AdaptiveRho: opts.AdaptiveRho,
-		Collect:     met != nil,
-		Telem:       tel,
 	}
 
 	prevErr := math.Inf(1)
@@ -513,7 +584,7 @@ func factorize(spec engineSpec, opts Options) (*Result, error) {
 			// G = ∗_{n≠m} AₙᵀAₙ (Algorithm 2, lines 4/8/12).
 			var g *dense.Matrix
 			timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelGram, m, func() {
-				g = gramProduct(grams, m)
+				g = dense.GramProduct(grams, m)
 			})
 
 			// K = MTTKRP (lines 5/9/13), with the leaf factor possibly in a
@@ -531,37 +602,24 @@ func factorize(spec engineSpec, opts Options) (*Result, error) {
 				})
 			})
 			if mttkrpErr != nil {
-				return nil, fmt.Errorf("core: mode %d outer %d: %w", m, outer, mttkrpErr)
+				return nil, fmt.Errorf("core: %smode %d outer %d: %w", step.solver, m, outer, mttkrpErr)
 			}
 
-			// Inner ADMM (lines 6/10/14).
-			admmCfg.Prox = opts.Constraints[m]
-			if opts.AutoBlockSize && opts.Variant != Baseline {
-				admmCfg.BlockSize = blockmodel.DefaultModel().Choose(
-					spec.dims[m], opts.Rank, par.Threads(opts.Threads))
-			}
-			var st admm.Stats
+			// The block update (lines 6/10/14).
+			var iters int
+			var rowIters int64
 			var err error
-			timedKernel(tr, bd, stats.PhaseADMM, met, stats.KernelADMMInner, m, func() {
-				withKernelLabels("admm", m, func() {
-					if opts.Variant == Baseline {
-						st, err = admm.Run(model.Factors[m], duals[m], k, g, ws, admmCfg)
-					} else {
-						st, err = admm.RunBlocked(model.Factors[m], duals[m], k, g, ws, admmCfg)
-					}
+			timedKernel(tr, bd, stats.PhaseADMM, met, step.kernel, m, func() {
+				withKernelLabels(step.label, m, func() {
+					iters, rowIters, err = step.update(m, model.Factors[m], k, g)
 				})
 			})
 			if err != nil {
-				return nil, fmt.Errorf("core: mode %d outer %d: %w", m, outer, err)
+				return nil, fmt.Errorf("core: %smode %d outer %d: %w", step.solver, m, outer, err)
 			}
-			if st.Timing != nil {
-				met.AddKernel(stats.KernelCholesky, m, st.Timing.Cholesky)
-				met.AddKernel(stats.KernelProx, m, st.Timing.Prox)
-			}
-			met.RecordADMMSolve(st.BlockIters, st.RhoAdaptations)
 			versions[m]++
-			iterInner += st.Iterations
-			res.RowIters += st.RowIterations
+			iterInner += iters
+			res.RowIters += rowIters
 
 			timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelGram, m, func() {
 				grams[m] = dense.Gram(model.Factors[m], opts.Threads)
@@ -612,7 +670,7 @@ func factorize(spec engineSpec, opts Options) (*Result, error) {
 				} else {
 					res.CheckpointErr = kruskal.SaveCheckpointAtomic(opts.CheckpointDir, kruskal.Checkpoint{
 						Factors: model,
-						Duals:   duals,
+						Duals:   step.duals,
 						Meta: &kruskal.CheckpointMeta{
 							Iteration: outer, RelErr: relErr,
 							JobID: opts.CheckpointJobID, Attempt: opts.CheckpointAttempt,
@@ -751,25 +809,6 @@ func denseColumnShare(f *dense.Matrix) float64 {
 	return float64(inDense) / float64(total)
 }
 
-// scaleInit rescales the random initial factors so the initial model norm
-// matches the data norm, ‖M₀‖ ≈ ‖X‖. Without this, a non-negative run whose
-// data values dwarf the O(rank) initial model spends its first outer
-// iterations in a flat relerr ≈ 1 transient that can falsely trip the
-// improvement-based stopping rule.
-func scaleInit(model *kruskal.Tensor, xNormSq float64, threads int) {
-	if xNormSq <= 0 {
-		return
-	}
-	mNormSq := model.NormSq(threads)
-	if mNormSq <= 0 {
-		return
-	}
-	s := math.Pow(xNormSq/mNormSq, 0.5/float64(model.Order()))
-	for _, f := range model.Factors {
-		dense.Scale(f, s)
-	}
-}
-
 // checkInitDuals validates resumed dual variables against the tensor shape.
 func checkInitDuals(duals []*dense.Matrix, dims []int, rank int) error {
 	if len(duals) != len(dims) {
@@ -801,21 +840,6 @@ func checkInitShape(k *kruskal.Tensor, dims []int, rank int) error {
 		}
 	}
 	return nil
-}
-
-func gramProduct(grams []*dense.Matrix, skip int) *dense.Matrix {
-	var out *dense.Matrix
-	for m, g := range grams {
-		if m == skip {
-			continue
-		}
-		if out == nil {
-			out = g.Clone()
-		} else {
-			dense.Hadamard(out, out, g)
-		}
-	}
-	return out
 }
 
 func maxDim(dims []int) int {

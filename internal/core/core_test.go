@@ -229,21 +229,46 @@ func TestPerModeConstraints(t *testing.T) {
 	}
 }
 
+// TestOnIterationEarlyStop checks that the OnIteration hook stops every
+// solver after the iteration it returns false on: the hook lives in the one
+// outer loop the solvers share, so the behaviour must not depend on the step.
 func TestOnIterationEarlyStop(t *testing.T) {
 	x := testTensor(t, 109)
-	calls := 0
-	res, err := Factorize(x, Options{
-		Rank: 4, Seed: 8,
-		OnIteration: func(p stats.TracePoint) bool {
-			calls++
-			return p.Iteration < 3
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	st, _ := shardedFor(t, x)
+	solvers := []struct {
+		name string
+		run  func(hook func(stats.TracePoint) bool) (*Result, error)
+	}{
+		{"aoadmm", func(hook func(stats.TracePoint) bool) (*Result, error) {
+			return Factorize(x, Options{Rank: 4, Seed: 8, OnIteration: hook})
+		}},
+		{"als", func(hook func(stats.TracePoint) bool) (*Result, error) {
+			return FactorizeALS(x, ALSOptions{Rank: 4, Seed: 8, OnIteration: hook})
+		}},
+		{"als-ooc", func(hook func(stats.TracePoint) bool) (*Result, error) {
+			return FactorizeALSOOC(st, ALSOptions{Rank: 4, Seed: 8, OnIteration: hook})
+		}},
+		{"hals", func(hook func(stats.TracePoint) bool) (*Result, error) {
+			return FactorizeHALS(x, HALSOptions{Rank: 4, Seed: 8, OnIteration: hook})
+		}},
 	}
-	if res.OuterIters != 3 || calls != 3 {
-		t.Fatalf("outer=%d calls=%d, want 3/3", res.OuterIters, calls)
+	for _, sv := range solvers {
+		t.Run(sv.name, func(t *testing.T) {
+			calls := 0
+			res, err := sv.run(func(p stats.TracePoint) bool {
+				calls++
+				return p.Iteration < 3
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OuterIters != 3 || calls != 3 {
+				t.Fatalf("outer=%d calls=%d, want 3/3", res.OuterIters, calls)
+			}
+			if len(res.Trace.Points) != res.OuterIters {
+				t.Fatalf("%d trace points for %d outer iterations", len(res.Trace.Points), res.OuterIters)
+			}
+		})
 	}
 }
 

@@ -224,18 +224,3 @@ func backendNames(eng Engine, order int) []string {
 	}
 	return names
 }
-
-// validateSharded applies the shared preconditions of the out-of-core entry
-// points. The per-shard invariants were already checked by ooc.Open.
-func validateSharded(st *ooc.ShardedTensor) error {
-	if st == nil {
-		return fmt.Errorf("core: nil sharded tensor")
-	}
-	if st.Order() < 2 {
-		return fmt.Errorf("core: tensor must have >= 2 modes")
-	}
-	if st.NNZ() == 0 {
-		return fmt.Errorf("core: empty tensor")
-	}
-	return nil
-}

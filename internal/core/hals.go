@@ -2,14 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"math/rand"
-	"time"
 
 	"aoadmm/internal/dense"
-	"aoadmm/internal/kruskal"
-	"aoadmm/internal/mttkrp"
 	"aoadmm/internal/obs"
 	"aoadmm/internal/par"
 	"aoadmm/internal/stats"
@@ -46,6 +40,15 @@ type HALSOptions struct {
 	KernelFormat string
 }
 
+// options maps the HALS settings onto the shared loop's options.
+func (o HALSOptions) options() Options {
+	return Options{
+		Rank: o.Rank, MaxOuterIters: o.MaxOuterIters, Tol: o.Tol, Threads: o.Threads,
+		Seed: o.Seed, CollectMetrics: o.CollectMetrics, Ctx: o.Ctx,
+		OnIteration: o.OnIteration, Tracer: o.Tracer, KernelFormat: o.KernelFormat,
+	}
+}
+
 // FactorizeHALS computes a non-negative CPD with hierarchical alternating
 // least squares (Cichocki & Phan — the paper's related work [5]): each
 // factor column is updated in closed form,
@@ -57,129 +60,25 @@ type HALSOptions struct {
 // an algorithmic baseline for AO-ADMM: both share the MTTKRP/Gram substrate,
 // so their convergence per unit work is directly comparable.
 func FactorizeHALS(x *tensor.COO, opts HALSOptions) (*Result, error) {
-	order := x.Order()
-	if order < 2 {
-		return nil, fmt.Errorf("core: tensor must have >= 2 modes")
+	o := opts.options()
+	spec, err := inMemorySpec(x, o)
+	if err != nil {
+		return nil, err
 	}
-	if x.NNZ() == 0 {
-		return nil, fmt.Errorf("core: empty tensor")
-	}
-	if err := x.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid tensor: %w", err)
-	}
-	if opts.Rank <= 0 {
-		return nil, fmt.Errorf("core: Rank must be positive, got %d", opts.Rank)
-	}
-	if opts.MaxOuterIters <= 0 {
-		opts.MaxOuterIters = DefaultMaxOuterIters
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = DefaultTol
-	}
-	rank := opts.Rank
+	return factorize(spec, o, halsStep)
+}
 
-	bd := stats.NewBreakdown()
-	tr := opts.Tracer
-	var met *stats.Metrics
-	var tel *par.Telemetry
-	if opts.CollectMetrics {
-		met = stats.NewMetrics()
-	}
-	if opts.CollectMetrics || tr != nil {
-		tel = par.NewTelemetry(par.Threads(opts.Threads))
-		tel.SetTracer(tr)
-	}
-	start := time.Now()
-	var eng Engine
-	var buildErr error
-	timedKernel(tr, bd, stats.PhaseSetup, met, stats.KernelCSFSetup, stats.ModeNone, func() {
-		eng, buildErr = buildInMemoryEngine(x, opts.KernelFormat, false, rank, opts.Threads)
-	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed))
-	model := kruskal.Random(x.Dims, rank, rng)
-	xNormSq := x.NormSq()
-	scaleInit(model, xNormSq, opts.Threads)
-	grams := make([]*dense.Matrix, order)
-	for m := 0; m < order; m++ {
-		grams[m] = dense.Gram(model.Factors[m], opts.Threads)
-	}
-	kmat := dense.New(maxDim(x.Dims), rank)
-
-	res := &Result{Factors: model, Breakdown: bd, Metrics: met, Trace: &stats.Trace{}, RelErr: 1}
-
-	prevErr := math.Inf(1)
-	for outer := 1; outer <= opts.MaxOuterIters; outer++ {
-		if stopRequested(opts.Ctx) {
-			res.Stopped = true
-			break
-		}
-		res.OuterIters = outer
-		iterStart := time.Now()
-		var lastK *dense.Matrix
-		var lastMode int
-		for m := 0; m < order; m++ {
-			var g *dense.Matrix
-			timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelGram, m, func() {
-				g = gramProduct(grams, m)
-			})
-			k := kmat.RowBlock(0, x.Dims[m])
-			var mttkrpErr error
-			timedKernel(tr, bd, stats.PhaseMTTKRP, met, stats.KernelMTTKRP, m, func() {
-				withKernelLabels("mttkrp", m, func() {
-					mttkrpErr = eng.MTTKRP(m, model.Factors, k, nil,
-						mttkrp.Options{Threads: opts.Threads, Telem: tel})
-				})
-			})
-			if mttkrpErr != nil {
-				return nil, fmt.Errorf("core: HALS mode %d outer %d: %w", m, outer, mttkrpErr)
-			}
-			timedKernel(tr, bd, stats.PhaseADMM, met, stats.KernelHALSUpdate, m, func() {
-				withKernelLabels("hals", m, func() {
-					halsUpdate(model.Factors[m], k, g, opts.Threads, tel)
-				})
-			})
-			timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelGram, m, func() {
-				grams[m] = dense.Gram(model.Factors[m], opts.Threads)
-			})
-			lastK, lastMode = k, m
-		}
-
-		var relErr float64
-		timedKernel(tr, bd, stats.PhaseOther, met, stats.KernelFit, stats.ModeNone, func() {
-			inner := kruskal.InnerWithMTTKRP(lastK, model.Factors[lastMode])
-			relErr = kruskal.RelErr(xNormSq, inner, kruskal.NormSqFromGrams(grams))
-		})
-		res.RelErr = relErr
-		if met != nil {
-			for m := 0; m < order; m++ {
-				met.RecordDensity(outer, m, dense.Density(model.Factors[m], 0), "DENSE")
-			}
-		}
-		point := stats.TracePoint{Iteration: outer, Elapsed: time.Since(start), RelErr: relErr}
-		res.Trace.Append(point)
-		tr.Emit("outer", "outer_iter", stats.ModeNone, obs.TIDDriver, int64(outer), iterStart, time.Since(iterStart))
-		if opts.OnIteration != nil && !opts.OnIteration(point) {
-			break
-		}
-		if math.Abs(prevErr-relErr) < opts.Tol {
-			res.Converged = true
-			break
-		}
-		prevErr = relErr
-	}
-
-	res.FactorDensities = make([]float64, order)
-	for m := 0; m < order; m++ {
-		res.FactorDensities[m] = dense.Density(model.Factors[m], 0)
-	}
-	recordScheduler(met, tel)
-	res.KernelBackends = backendNames(eng, order)
-	met.SetBackends(res.KernelBackends)
-	return res, nil
+// halsStep is the HALS update: one halsUpdate sweep over the mode's columns.
+func halsStep(opts *Options, _ []int, _ *stats.Metrics, tel *par.Telemetry) (modeStep, error) {
+	return modeStep{
+		solver: "HALS ",
+		kernel: stats.KernelHALSUpdate,
+		label:  "hals",
+		update: func(_ int, a, k, g *dense.Matrix) (int, int64, error) {
+			halsUpdate(a, k, g, opts.Threads, tel)
+			return 0, 0, nil
+		},
+	}, nil
 }
 
 // halsUpdate performs one sweep of column-wise HALS updates on factor a,

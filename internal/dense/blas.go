@@ -74,6 +74,24 @@ func HadamardAll(ms ...*Matrix) *Matrix {
 	return out
 }
 
+// GramProduct returns the Hadamard product of every Gram matrix except
+// grams[skip]: the G = ∗_{n≠m} AₙᵀAₙ each AO mode update solves against
+// (Algorithm 2, lines 4/8/12).
+func GramProduct(grams []*Matrix, skip int) *Matrix {
+	var out *Matrix
+	for m, g := range grams {
+		if m == skip {
+			continue
+		}
+		if out == nil {
+			out = g.Clone()
+		} else {
+			Hadamard(out, out, g)
+		}
+	}
+	return out
+}
+
 // MatMul returns a·b using straightforward i-k-j loop ordering (row-major
 // friendly). Intended for F x F and validation-sized problems.
 func MatMul(a, b *Matrix) *Matrix {

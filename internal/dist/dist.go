@@ -109,9 +109,9 @@ func Run(x *tensor.COO, opts Options) (*Result, error) {
 	if x.NNZ() == 0 {
 		return nil, fmt.Errorf("dist: empty tensor")
 	}
-	cons, err := BroadcastConstraints(opts.Constraints, order)
+	cons, err := prox.Broadcast(opts.Constraints, order)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	if opts.MaxOuterIters <= 0 {
 		opts.MaxOuterIters = 50
@@ -141,10 +141,10 @@ func Run(x *tensor.COO, opts Options) (*Result, error) {
 		trees[i] = csf.BuildSet(parts[i])
 	}
 
-	// Shared (replicated) factor state; mirrors core.Factorize's init,
-	// including the norm-matched rescaling of the random factors.
+	// Shared (replicated) factor state: core.Factorize's init, with the
+	// single-threaded norm so it matches a Threads 1 shared-memory run.
 	xNormSq := x.NormSq()
-	model := InitModel(x.Dims, opts.Rank, opts.Seed, xNormSq)
+	model := kruskal.Init(x.Dims, opts.Rank, opts.Seed, xNormSq, 1)
 	duals := make([]*dense.Matrix, order)
 	grams := make([]*dense.Matrix, order)
 	for m := 0; m < order; m++ {
@@ -162,7 +162,7 @@ func Run(x *tensor.COO, opts Options) (*Result, error) {
 		var lastK *dense.Matrix
 		var lastMode int
 		for m := 0; m < order; m++ {
-			g := GramProduct(grams, m)
+			g := dense.GramProduct(grams, m)
 
 			// Phase 1: local partial MTTKRPs (parallel across nodes).
 			partials := make([]*dense.Matrix, n)

@@ -3,45 +3,25 @@
 // coordinator/worker engine (internal/distnet). Both execute exactly the
 // same per-node arithmetic — the simulator is the numerical and
 // communication-cost oracle for the real engine — so everything a "node"
-// does lives here: model initialization, row partitioning, non-zero
-// placement, the partial MTTKRP, the communication-free owned-rows ADMM
-// step, and the collective pricing rules.
+// does lives here: row partitioning, non-zero placement, the partial MTTKRP,
+// the communication-free owned-rows ADMM step, and the collective pricing
+// rules. Model initialization (kruskal.Init), the Gram product
+// (dense.GramProduct) and the constraint broadcast (prox.Broadcast) are the
+// same helpers core's shared-memory loop calls.
 package dist
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sync"
 
 	"aoadmm/internal/admm"
 	"aoadmm/internal/alto"
 	"aoadmm/internal/csf"
 	"aoadmm/internal/dense"
-	"aoadmm/internal/kruskal"
 	"aoadmm/internal/mttkrp"
 	"aoadmm/internal/perfmodel"
-	"aoadmm/internal/prox"
 	"aoadmm/internal/tensor"
 )
-
-// InitModel builds the replicated initial factor state every participant
-// starts from: kruskal.Random over a per-run seeded generator — the same
-// construction core.Factorize uses, never the shared package-level
-// math/rand source — followed by the norm-matched rescale of the random
-// factors. Seed-for-seed it reproduces core.Factorize's initialization, so
-// simulated, networked, and shared-memory runs all start from identical
-// factors and their trajectories can be compared bit for bit.
-func InitModel(dims []int, rank int, seed int64, xNormSq float64) *kruskal.Tensor {
-	model := kruskal.Random(dims, rank, rand.New(rand.NewSource(seed)))
-	if m0 := model.NormSq(1); m0 > 0 && xNormSq > 0 {
-		s := math.Pow(xNormSq/m0, 0.5/float64(len(dims)))
-		for _, f := range model.Factors {
-			dense.Scale(f, s)
-		}
-	}
-	return model
-}
 
 // Partition splits n rows into parts contiguous, near-equal half-open
 // ranges [begin, end); the first n%parts ranges are one row longer.
@@ -171,46 +151,6 @@ func LocalADMM(factor, dual, k, g *dense.Matrix, cfg admm.Config) error {
 	}
 	_, err := admm.RunBlocked(factor, dual, k, g, nil, cfg)
 	return err
-}
-
-// GramProduct returns the Hadamard product of every Gram matrix except
-// grams[skip] — the (G) the mode-skip ADMM solves against.
-func GramProduct(grams []*dense.Matrix, skip int) *dense.Matrix {
-	var out *dense.Matrix
-	for m, g := range grams {
-		if m == skip {
-			continue
-		}
-		if out == nil {
-			out = g.Clone()
-		} else {
-			dense.Hadamard(out, out, g)
-		}
-	}
-	return out
-}
-
-// BroadcastConstraints expands a 0/1/order-length constraint slice to one
-// operator per mode, mirroring core.Options semantics.
-func BroadcastConstraints(cs []prox.Operator, order int) ([]prox.Operator, error) {
-	switch len(cs) {
-	case 0:
-		out := make([]prox.Operator, order)
-		for i := range out {
-			out[i] = prox.Unconstrained{}
-		}
-		return out, nil
-	case 1:
-		out := make([]prox.Operator, order)
-		for i := range out {
-			out[i] = cs[0]
-		}
-		return out, nil
-	case order:
-		return cs, nil
-	default:
-		return nil, fmt.Errorf("dist: %d constraints for order %d", len(cs), order)
-	}
 }
 
 // Pricer applies the simulator's collective pricing rules to a CommStats.

@@ -612,7 +612,7 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := dist.BroadcastConstraints(cons, order); err != nil {
+	if _, err := prox.Broadcast(cons, order); err != nil {
 		return nil, err
 	}
 
@@ -641,7 +641,7 @@ func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 			prevRelErr = opts.Resume.Meta.RelErr
 		}
 	} else {
-		model = dist.InitModel(dims, rank, opts.Seed, xNormSq)
+		model = kruskal.Init(dims, rank, opts.Seed, xNormSq, 1)
 	}
 	if duals == nil {
 		duals = make([]*dense.Matrix, order)
@@ -885,7 +885,7 @@ func (c *Coordinator) runEpoch(ctx context.Context, e epochRun) (bool, error) {
 		var lastK *dense.Matrix
 		var lastMode int
 		for m := 0; m < order; m++ {
-			g := dist.GramProduct(grams, m)
+			g := dense.GramProduct(grams, m)
 
 			// Phase 1+2: partial MTTKRPs, reduce-scattered. Workers send
 			// only the non-zero rows of their partial; the reduction runs

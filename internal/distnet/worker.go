@@ -498,7 +498,7 @@ func (w *Worker) loadAssignment(a assign, prev *workerJob) (*workerJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	cons, err = dist.BroadcastConstraints(cons, len(dims))
+	cons, err = prox.Broadcast(cons, len(dims))
 	if err != nil {
 		return nil, err
 	}

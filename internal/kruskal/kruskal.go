@@ -44,6 +44,31 @@ func Random(dims []int, rank int, rng *rand.Rand) *Tensor {
 	return &Tensor{Factors: fs}
 }
 
+// Init builds the AO starting point every solver uses: Random over a
+// generator seeded with seed (never the shared package-level source), then
+// one common scale on every factor so that ‖M₀‖² = xNormSq. Without the
+// rescale a non-negative run whose data values dwarf the O(rank) initial
+// model spends its first outer iterations in a flat relerr ≈ 1 transient
+// that can falsely trip the improvement-based stopping rule. The model norm
+// is a threads-way reduction, so the factors are bit-identical only between
+// calls with the same threads: the distributed engines pass 1 and therefore
+// reproduce a shared-memory run exactly when that run uses Threads 1.
+func Init(dims []int, rank int, seed int64, xNormSq float64, threads int) *Tensor {
+	model := Random(dims, rank, rand.New(rand.NewSource(seed)))
+	if xNormSq <= 0 {
+		return model
+	}
+	mNormSq := model.NormSq(threads)
+	if mNormSq <= 0 {
+		return model
+	}
+	s := math.Pow(xNormSq/mNormSq, 0.5/float64(len(dims)))
+	for _, f := range model.Factors {
+		dense.Scale(f, s)
+	}
+	return model
+}
+
 // Order returns the number of modes.
 func (k *Tensor) Order() int { return len(k.Factors) }
 

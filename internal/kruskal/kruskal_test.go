@@ -192,3 +192,23 @@ func TestAtPanicsOnBadCoord(t *testing.T) {
 	}()
 	k.At([]int{0})
 }
+
+func TestInitMatchesDataNorm(t *testing.T) {
+	dims := []int{7, 5, 6}
+	const xNormSq = 1234.5
+	a := Init(dims, 3, 9, xNormSq, 1)
+	if got := a.NormSq(1); math.Abs(got-xNormSq) > 1e-9*xNormSq {
+		t.Fatalf("‖M₀‖² = %v, want %v", got, xNormSq)
+	}
+	b := Init(dims, 3, 9, xNormSq, 1)
+	for m := range dims {
+		if d := dense.MaxAbsDiff(a.Factors[m], b.Factors[m]); d != 0 {
+			t.Fatalf("mode %d differs between equal seeds by %g", m, d)
+		}
+	}
+	raw := Init(dims, 3, 9, 0, 1)
+	want := Random(dims, 3, rand.New(rand.NewSource(9)))
+	if d := dense.MaxAbsDiff(raw.Factors[0], want.Factors[0]); d != 0 {
+		t.Fatalf("zero data norm must skip the rescale (diff %g)", d)
+	}
+}

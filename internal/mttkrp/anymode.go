@@ -2,6 +2,7 @@ package mttkrp
 
 import (
 	"fmt"
+	"sort"
 
 	"aoadmm/internal/csf"
 	"aoadmm/internal/dense"
@@ -18,9 +19,13 @@ import (
 // factor rows above depth d and, at each depth-d node, multiplies it with
 // the "below" aggregate of the subtree (the same bottom-up accumulation the
 // root kernel uses) into the output row of that node's index. Because
-// several slices can update the same output row, each thread accumulates
-// into a private output matrix and the partials are reduced afterwards
-// (privatization; deterministic for a fixed thread count).
+// several slices can update the same output row, the root slices are split
+// into one fixed group per thread — contiguous, near-equal in non-zeros —
+// each group accumulates into a private output matrix, and the partials are
+// reduced in group order (privatization). Which slices a buffer sums
+// therefore never depends on scheduling: the result is bitwise-reproducible
+// across runs at a fixed thread count, though not across thread counts.
+// opts.Chunk does not apply to non-root modes.
 func ComputeMode(t *csf.Tensor, mode int, factors []*dense.Matrix, out *dense.Matrix, leaf LeafFactor, opts Options) {
 	depth := -1
 	for d, m := range t.Perm {
@@ -47,17 +52,11 @@ func ComputeMode(t *csf.Tensor, mode int, factors []*dense.Matrix, out *dense.Ma
 
 	threads := par.Threads(opts.Threads)
 	out.Zero()
-	nSlices := t.NSlices()
-	chunk := opts.chunk(nSlices, threads)
-
-	// Private per-thread outputs, reduced in thread order below.
+	groups := sliceGroups(t, threads)
 	privs := make([]*dense.Matrix, threads)
-	for i := range privs {
-		privs[i] = dense.New(out.Rows, rank)
-	}
 
-	par.DynamicT(opts.Telem, nSlices, chunk, threads, func(tid, begin, end int) {
-		priv := privs[tid]
+	par.StaticT(opts.Telem, threads, threads, func(_, gBegin, gEnd int) {
+		var priv *dense.Matrix
 		// Prefix buffers: prefixes[d] holds the product of factor rows for
 		// depths < d, for d in 1..depth. Below-buffers cover depths
 		// depth..order-2.
@@ -142,12 +141,16 @@ func ComputeMode(t *csf.Tensor, mode int, factors []*dense.Matrix, out *dense.Ma
 		for i := range ones {
 			ones[i] = 1
 		}
-		for s := begin; s < end; s++ {
-			walk(0, s, ones)
+		for g := gBegin; g < gEnd; g++ {
+			priv = dense.New(out.Rows, rank)
+			privs[g] = priv
+			for s := groups[g]; s < groups[g+1]; s++ {
+				walk(0, s, ones)
+			}
 		}
 	})
 
-	// Deterministic reduction in thread order.
+	// Deterministic reduction in group order.
 	for _, priv := range privs {
 		for i := 0; i < out.Rows; i++ {
 			dst := out.Row(i)
@@ -157,4 +160,26 @@ func ComputeMode(t *csf.Tensor, mode int, factors []*dense.Matrix, out *dense.Ma
 			}
 		}
 	}
+}
+
+// sliceGroups splits t's root slices into n contiguous groups of near-equal
+// non-zero count: group g is slices [b[g], b[g+1]) of the returned b.
+func sliceGroups(t *csf.Tensor, n int) []int {
+	nSlices := t.NSlices()
+	b := make([]int, n+1)
+	b[n] = nSlices
+	for g := 1; g < n; g++ {
+		target := g * t.NNZ() / n
+		b[g] = sort.Search(nSlices, func(s int) bool { return firstLeaf(t, s) >= target })
+	}
+	return b
+}
+
+// firstLeaf returns the index of root slice s's first non-zero.
+func firstLeaf(t *csf.Tensor, s int) int {
+	n := s
+	for d := 0; d < t.Order()-1; d++ {
+		n = int(t.FPtr[d][n])
+	}
+	return n
 }

@@ -52,8 +52,9 @@ func (d DenseLeaf) AccumRow(dst []float64, row int, scale float64) {
 type Options struct {
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
-	// Chunk is the number of root slices claimed per scheduling step
-	// (dynamic schedule). <= 0 picks a heuristic based on slice count.
+	// Chunk is the number of root slices claimed per scheduling step of the
+	// root-mode dynamic schedule (ComputeMode's non-root modes use fixed
+	// slice groups instead). <= 0 picks a heuristic based on slice count.
 	Chunk int
 	// Telem, when non-nil, receives per-thread scheduler counters from the
 	// dynamic slice dispatch (load-imbalance observability).

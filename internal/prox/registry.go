@@ -31,6 +31,34 @@ func ParseList(spec string) ([]Operator, error) {
 	return out, nil
 }
 
+// Broadcast expands a constraint list to one operator per mode of an
+// order-mode tensor: an empty list means unconstrained, a single operator
+// applies to every mode, and an order-length list is taken as is with nil
+// entries read as Unconstrained. Any other length is an error. The result
+// is a fresh slice; cs is not modified.
+func Broadcast(cs []Operator, order int) ([]Operator, error) {
+	out := make([]Operator, order)
+	switch len(cs) {
+	case 0, 1, order:
+	default:
+		return nil, fmt.Errorf("%d constraints for order-%d tensor", len(cs), order)
+	}
+	for m := range out {
+		var c Operator
+		switch len(cs) {
+		case 1:
+			c = cs[0]
+		case order:
+			c = cs[m]
+		}
+		if c == nil {
+			c = Unconstrained{}
+		}
+		out[m] = c
+	}
+	return out, nil
+}
+
 // Parse builds an Operator from a textual spec, as used by the CLIs:
 //
 //	none | nonneg | l1:<lambda> | nonneg+l1:<lambda> | l2:<lambda> |

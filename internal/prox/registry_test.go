@@ -77,3 +77,35 @@ func TestParseRoundTripApply(t *testing.T) {
 		t.Fatalf("parsed operator misbehaves: %v", row)
 	}
 }
+
+func TestBroadcast(t *testing.T) {
+	none, err := Broadcast(nil, 3)
+	if err != nil || len(none) != 3 {
+		t.Fatalf("Broadcast(nil, 3) = %v, %v", none, err)
+	}
+	for m, c := range none {
+		if _, ok := c.(Unconstrained); !ok {
+			t.Fatalf("mode %d: %T, want Unconstrained", m, c)
+		}
+	}
+	one, err := Broadcast([]Operator{NonNegative{}}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, c := range one {
+		if _, ok := c.(NonNegative); !ok {
+			t.Fatalf("mode %d: %T, want NonNegative", m, c)
+		}
+	}
+	in := []Operator{NonNegative{}, nil, L1{Lambda: 1}}
+	per, err := Broadcast(in, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := per[1].(Unconstrained); !ok || in[1] != nil {
+		t.Fatalf("nil entry: got %T, input now %v", per[1], in[1])
+	}
+	if _, err := Broadcast(in[:2], 3); err == nil || !strings.Contains(err.Error(), "2 constraints for order-3") {
+		t.Fatalf("wrong length: err = %v", err)
+	}
+}
