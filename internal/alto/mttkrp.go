@@ -122,11 +122,7 @@ func (t *Tensor) mttkrpBounded(mode int, factors []*dense.Matrix, out *dense.Mat
 				e = hi
 			}
 			for i := b; i < e; i++ {
-				dst := out.Row(i)
-				src := buf[(i-lo)*rank : (i-lo)*rank+rank]
-				for q, v := range src {
-					dst[q] += v
-				}
+				dense.AxpyRow(out.Row(i), 1, buf[(i-lo)*rank:])
 			}
 		}
 	})
@@ -152,10 +148,7 @@ func (t *Tensor) mttkrpPrivatized(mode int, factors []*dense.Matrix, out *dense.
 	par.Static(out.Rows, threads, func(tid, rb, re int) {
 		for _, p := range priv {
 			for i := rb; i < re; i++ {
-				dst := out.Row(i)
-				for q, v := range p.Row(i) {
-					dst[q] += v
-				}
+				dense.AxpyRow(out.Row(i), 1, p.Row(i))
 			}
 		}
 	})
@@ -174,43 +167,52 @@ func (t *Tensor) accRange(mode, b, e int, factors []*dense.Matrix, acc []float64
 
 // acc3Narrow is the specialized hot path: order-3 tensors with 64-bit keys.
 // The segment loops are written inline (extract is too large to inline and a
-// call per mode per non-zero would dominate the integer work).
+// call per mode per non-zero would dominate the integer work). Non-zeros are
+// decoded a batch at a time into row offsets, and one ScaledMulAddRows call
+// applies the batch in order: a call per non-zero would spill the decode
+// loop's state around every call.
 func (t *Tensor) acc3Narrow(mode, b, e int, factors []*dense.Matrix, acc []float64, base int32, rank int) {
 	n1, n2 := otherModes(mode)
 	segO, seg1, seg2 := t.segs[mode], t.segs[n1], t.segs[n2]
 	f1, f2 := factors[n1], factors[n2]
 	keys, vals := t.keysLo, t.vals
-	for p := b; p < e; p++ {
-		k := keys[p]
-		var i0, i1, i2 uint64
-		for _, s := range segO {
-			i0 |= ((k >> s.shift) & uint64(s.mask)) << s.out
+	stride1, stride2 := f1.Stride, f2.Stride
+	const batch = 128
+	var off0, off1, off2 [batch]int
+	for ; b < e; b += batch {
+		n := min(batch, e-b)
+		for q, k := range keys[b : b+n] {
+			var i0, i1, i2 uint64
+			for _, s := range segO {
+				i0 |= ((k >> s.shift) & uint64(s.mask)) << s.out
+			}
+			for _, s := range seg1 {
+				i1 |= ((k >> s.shift) & uint64(s.mask)) << s.out
+			}
+			for _, s := range seg2 {
+				i2 |= ((k >> s.shift) & uint64(s.mask)) << s.out
+			}
+			off0[q] = (int(i0) - int(base)) * rank
+			off1[q] = int(i1) * stride1
+			off2[q] = int(i2) * stride2
 		}
-		for _, s := range seg1 {
-			i1 |= ((k >> s.shift) & uint64(s.mask)) << s.out
-		}
-		for _, s := range seg2 {
-			i2 |= ((k >> s.shift) & uint64(s.mask)) << s.out
-		}
-		r1 := f1.Row(int(i1))
-		r2 := f2.Row(int(i2))
-		dst := acc[(int(i0)-int(base))*rank:]
-		dst = dst[:rank:rank]
-		v := vals[p]
-		if len(r2) >= len(r1) { // eliminate bounds checks on r2
-			r2 = r2[:len(r1)]
-		}
-		for q, x := range r1 {
-			dst[q] += v * x * r2[q]
-		}
+		dense.ScaledMulAddRows(rank, acc, off0[:n], vals[b:b+n], f1.Data, off1[:n], f2.Data, off2[:n])
 	}
 }
 
 // accGeneric handles arbitrary order and wide (two-word) keys: decode every
-// mode, scale the first non-output factor row by the value, elementwise-
-// multiply the rest, and add into the output row.
+// mode, then add the value times the elementwise product of the other
+// modes' factor rows into the output row. The product is rounded left to
+// right over the modes, the last multiply inside the row primitive.
 func (t *Tensor) accGeneric(mode, b, e int, factors []*dense.Matrix, acc []float64, base int32, rank int) {
 	order := t.Order()
+	others := make([]int, 0, order-1)
+	for m := 0; m < order; m++ {
+		if m != mode {
+			others = append(others, m)
+		}
+	}
+	first, last := others[0], others[len(others)-1]
 	z := make([]float64, rank)
 	idx := make([]int32, order)
 	wide := t.keysHi != nil
@@ -224,26 +226,24 @@ func (t *Tensor) accGeneric(mode, b, e int, factors []*dense.Matrix, acc []float
 			idx[m] = extract(t.segs[m], lo, hi)
 		}
 		v := t.vals[p]
-		first := true
-		for m := 0; m < order; m++ {
-			if m == mode {
-				continue
+		dst := acc[(int(idx[mode])-int(base))*rank:]
+		dst = dst[:rank]
+		lastRow := factors[last].Row(int(idx[last]))
+		switch len(others) {
+		case 1:
+			dense.AxpyRow(dst, v, lastRow)
+		case 2:
+			dense.ScaledMulAddRow(dst, v, factors[first].Row(int(idx[first])), lastRow)
+		default:
+			for q, x := range factors[first].Row(int(idx[first])) {
+				z[q] = v * x
 			}
-			row := factors[m].Row(int(idx[m]))
-			if first {
-				for q, x := range row {
-					z[q] = v * x
+			for _, m := range others[1 : len(others)-1] {
+				for q, x := range factors[m].Row(int(idx[m])) {
+					z[q] *= x
 				}
-				first = false
-				continue
 			}
-			for q, x := range row {
-				z[q] *= x
-			}
-		}
-		dst := acc[(int(idx[mode])-int(base))*rank : (int(idx[mode])-int(base))*rank+rank]
-		for q, x := range z {
-			dst[q] += x
+			dense.MulAddRow(dst, z, lastRow)
 		}
 	}
 }

@@ -144,11 +144,12 @@ func AXPY(dst *Matrix, alpha float64, src *Matrix) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic("dense: AXPY shape mismatch")
 	}
+	if dst.Stride == dst.Cols && src.Stride == src.Cols {
+		AxpyRow(dst.Data[:dst.Rows*dst.Cols], alpha, src.Data)
+		return
+	}
 	for i := 0; i < dst.Rows; i++ {
-		rd, rs := dst.Row(i), src.Row(i)
-		for j := range rd {
-			rd[j] += alpha * rs[j]
-		}
+		AxpyRow(dst.Row(i), alpha, src.Row(i))
 	}
 }
 

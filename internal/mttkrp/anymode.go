@@ -54,6 +54,8 @@ func ComputeMode(t *csf.Tensor, mode int, factors []*dense.Matrix, out *dense.Ma
 	out.Zero()
 	groups := sliceGroups(t, threads)
 	privs := make([]*dense.Matrix, threads)
+	lr := resolveLeaf(leaf)
+	leafIDs := t.FIDs[order-1]
 
 	par.StaticT(opts.Telem, threads, threads, func(_, gBegin, gEnd int) {
 		var priv *dense.Matrix
@@ -69,31 +71,22 @@ func ComputeMode(t *csf.Tensor, mode int, factors []*dense.Matrix, out *dense.Ma
 			belows[d] = make([]float64, rank)
 		}
 
-		// below accumulates the subtree aggregate under a depth >= depth
-		// node, excluding the output mode's factor: leaves contribute
-		// val·F_leaf(row,:), internal nodes multiply by their factor row.
+		// below adds the subtree aggregates of internal node n's children
+		// at depth d+1 into dst, excluding the output mode's factor: leaves
+		// contribute val·F_leaf(row,:), internal nodes multiply their own
+		// aggregate by their factor row.
 		var below func(d, n int, dst []float64)
 		below = func(d, n int, dst []float64) {
-			if d == order-1 {
-				if depth == order-1 {
-					// The output mode IS the leaf mode; callers never
-					// descend this far in that case.
-					panic("mttkrp: below reached leaf for leaf-mode output")
-				}
-				leaf.AccumRow(dst, int(t.FIDs[d][n]), t.Vals[n])
+			b, e := t.Children(d, n)
+			if d+1 == order-1 {
+				lr.accum(dst, leafIDs[b:e], t.Vals[b:e])
 				return
 			}
-			buf := belows[d]
-			for i := range buf {
-				buf[i] = 0
-			}
-			b, e := t.Children(d, n)
+			buf := belows[d+1]
 			for ch := b; ch < e; ch++ {
+				clear(buf)
 				below(d+1, ch, buf)
-			}
-			frow := factors[t.Perm[d]].Row(int(t.FIDs[d][n]))
-			for i := range dst {
-				dst[i] += buf[i] * frow[i]
+				dense.MulAddRow(dst, buf, factors[t.Perm[d+1]].Row(int(t.FIDs[d+1][ch])))
 			}
 		}
 
@@ -104,23 +97,13 @@ func ComputeMode(t *csf.Tensor, mode int, factors []*dense.Matrix, out *dense.Ma
 				outRow := priv.Row(int(t.FIDs[d][n]))
 				if d == order-1 {
 					// Leaf-mode output: below the node is just its value.
-					v := t.Vals[n]
-					for i := range outRow {
-						outRow[i] += v * prefix[i]
-					}
+					dense.AxpyRow(outRow, t.Vals[n], prefix)
 					return
 				}
 				buf := belows[d]
-				for i := range buf {
-					buf[i] = 0
-				}
-				b, e := t.Children(d, n)
-				for ch := b; ch < e; ch++ {
-					below(d+1, ch, buf)
-				}
-				for i := range outRow {
-					outRow[i] += buf[i] * prefix[i]
-				}
+				clear(buf)
+				below(d, n, buf)
+				dense.MulAddRow(outRow, buf, prefix)
 				return
 			}
 			// Extend the prefix with this node's factor row and recurse.
@@ -152,13 +135,7 @@ func ComputeMode(t *csf.Tensor, mode int, factors []*dense.Matrix, out *dense.Ma
 
 	// Deterministic reduction in group order.
 	for _, priv := range privs {
-		for i := 0; i < out.Rows; i++ {
-			dst := out.Row(i)
-			src := priv.Row(i)
-			for j := range dst {
-				dst[j] += src[j]
-			}
-		}
+		dense.AXPY(out, 1, priv)
 	}
 }
 

@@ -28,23 +28,38 @@ type LeafFactor interface {
 // baseline "DENSE" configuration of Table II).
 type DenseLeaf struct{ M *dense.Matrix }
 
-// AccumRow implements LeafFactor. The loop is unrolled by four with its
-// bounds checks hoisted: the one-element loop ran up to 40% slower whenever
-// a build happened to place it across a 64-byte instruction boundary, and
-// the unrolled body runs at the well-placed speed at either placement. Each
-// element still gets exactly one multiply-add, so results are unchanged.
+// AccumRow implements LeafFactor.
 func (d DenseLeaf) AccumRow(dst []float64, row int, scale float64) {
-	r := d.M.Row(row)
-	dst = dst[:len(r)]
-	j := 0
-	for ; j+4 <= len(r); j += 4 {
-		dst[j] += scale * r[j]
-		dst[j+1] += scale * r[j+1]
-		dst[j+2] += scale * r[j+2]
-		dst[j+3] += scale * r[j+3]
+	dense.AxpyRow(dst, scale, d.M.Row(row))
+}
+
+// leafRows is a LeafFactor resolved once per kernel call: a DenseLeaf's
+// matrix is called directly, so the per-non-zero loop neither dispatches
+// through the interface nor hides the row primitive behind it.
+type leafRows struct {
+	dense *dense.Matrix
+	other LeafFactor
+}
+
+func resolveLeaf(leaf LeafFactor) leafRows {
+	if d, ok := leaf.(DenseLeaf); ok {
+		return leafRows{dense: d.M}
 	}
-	for ; j < len(r); j++ {
-		dst[j] += scale * r[j]
+	return leafRows{other: leaf}
+}
+
+// accum adds vals[k] · leaf(ids[k], :) into dst for each k, in order: the
+// leaf fiber under one CSF node.
+func (l leafRows) accum(dst []float64, ids []int32, vals []float64) {
+	vals = vals[:len(ids)]
+	if m := l.dense; m != nil {
+		for k, id := range ids {
+			dense.AxpyRow(dst, vals[k], m.Row(int(id)))
+		}
+		return
+	}
+	for k, id := range ids {
+		l.other.AccumRow(dst, int(id), vals[k])
 	}
 }
 
@@ -124,22 +139,17 @@ func compute3(t *csf.Tensor, factors []*dense.Matrix, out *dense.Matrix, leaf Le
 	fids0, fids1, fids2 := t.FIDs[0], t.FIDs[1], t.FIDs[2]
 	fptr0, fptr1 := t.FPtr[0], t.FPtr[1]
 	vals := t.Vals
+	lr := resolveLeaf(leaf)
 
 	par.DynamicT(tel, t.NSlices(), chunk, threads, func(tid, begin, end int) {
 		z := make([]float64, rank)
 		for s := begin; s < end; s++ {
 			outRow := out.Row(int(fids0[s]))
 			for fb, fe := fptr0[s], fptr0[s+1]; fb < fe; fb++ {
-				for i := range z {
-					z[i] = 0
-				}
-				for lb, le := fptr1[fb], fptr1[fb+1]; lb < le; lb++ {
-					leaf.AccumRow(z, int(fids2[lb]), vals[lb])
-				}
-				bRow := bFac.Row(int(fids1[fb]))
-				for i := range outRow {
-					outRow[i] += z[i] * bRow[i]
-				}
+				clear(z)
+				lb, le := fptr1[fb], fptr1[fb+1]
+				lr.accum(z, fids2[lb:le], vals[lb:le])
+				dense.MulAddRow(outRow, z, bFac.Row(int(fids1[fb])))
 			}
 		}
 	})
@@ -149,6 +159,8 @@ func compute3(t *csf.Tensor, factors []*dense.Matrix, out *dense.Matrix, leaf Le
 func computeGeneric(t *csf.Tensor, factors []*dense.Matrix, out *dense.Matrix, leaf LeafFactor, threads, chunk int, tel *par.Telemetry) {
 	order := t.Order()
 	rank := out.Cols
+	lr := resolveLeaf(leaf)
+	leafIDs := t.FIDs[order-1]
 
 	par.DynamicT(tel, t.NSlices(), chunk, threads, func(tid, begin, end int) {
 		// One accumulation buffer per internal depth (1..order-2).
@@ -156,31 +168,25 @@ func computeGeneric(t *csf.Tensor, factors []*dense.Matrix, out *dense.Matrix, l
 		for d := 1; d < order-1; d++ {
 			bufs[d] = make([]float64, rank)
 		}
-		var rec func(d, n int, dst []float64)
-		rec = func(d, n int, dst []float64) {
-			if d == order-1 {
-				leaf.AccumRow(dst, int(t.FIDs[d][n]), t.Vals[n])
+		// children adds the subtree aggregates of node n's children at
+		// depth d+1 into dst; the deepest internal level adds its leaf
+		// fiber directly.
+		var children func(d, n int, dst []float64)
+		children = func(d, n int, dst []float64) {
+			b, e := t.Children(d, n)
+			if d+1 == order-1 {
+				lr.accum(dst, leafIDs[b:e], t.Vals[b:e])
 				return
 			}
-			buf := bufs[d]
-			for i := range buf {
-				buf[i] = 0
-			}
-			b, e := t.Children(d, n)
+			buf := bufs[d+1]
 			for ch := b; ch < e; ch++ {
-				rec(d+1, ch, buf)
-			}
-			frow := factors[t.Perm[d]].Row(int(t.FIDs[d][n]))
-			for i := range dst {
-				dst[i] += buf[i] * frow[i]
+				clear(buf)
+				children(d+1, ch, buf)
+				dense.MulAddRow(dst, buf, factors[t.Perm[d+1]].Row(int(t.FIDs[d+1][ch])))
 			}
 		}
 		for s := begin; s < end; s++ {
-			outRow := out.Row(int(t.FIDs[0][s]))
-			b, e := t.Children(0, s)
-			for ch := b; ch < e; ch++ {
-				rec(1, ch, outRow)
-			}
+			children(0, s, out.Row(int(t.FIDs[0][s])))
 		}
 	})
 }

@@ -204,6 +204,47 @@ func TestDenseLeafAccumRow(t *testing.T) {
 	}
 }
 
+// wrappedLeaf hides a DenseLeaf behind another concrete type, so the
+// kernels take their LeafFactor interface path for it.
+type wrappedLeaf struct{ DenseLeaf }
+
+// TestDenseLeafFastPathBitIdentical pins that resolving a DenseLeaf once per
+// call changes no rounding: Compute (orders 2–4, reached through the root
+// mode) and ComputeMode on every other mode give bitwise-equal output
+// through the DenseLeaf path and through the interface, serially and in
+// parallel. Rank 13 takes the row primitives through their vector loop and
+// their scalar tail.
+func TestDenseLeafFastPathBitIdentical(t *testing.T) {
+	const rank = 13
+	rng := rand.New(rand.NewSource(61))
+	for _, dims := range [][]int{{40, 30}, {30, 25, 20}, {12, 10, 9, 8}} {
+		coo, err := tensor.Uniform(tensor.GenOptions{Dims: dims, NNZ: 2000, Seed: 61})
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := len(dims)
+		factors := randFactors(dims, rank, rng)
+		for root := 0; root < order; root++ {
+			tree := csf.Build(coo.Clone(), csf.DefaultPerm(order, root))
+			leaf := DenseLeaf{M: factors[tree.Perm[order-1]]}
+			for _, threads := range []int{1, 3} {
+				for mode := 0; mode < order; mode++ {
+					direct := dense.New(dims[mode], rank)
+					viaIface := dense.New(dims[mode], rank)
+					ComputeMode(tree, mode, factors, direct, leaf, Options{Threads: threads})
+					ComputeMode(tree, mode, factors, viaIface, wrappedLeaf{leaf}, Options{Threads: threads})
+					for i, v := range direct.Data {
+						if math.Float64bits(v) != math.Float64bits(viaIface.Data[i]) {
+							t.Fatalf("order %d root %d mode %d threads %d: element %d = %v direct, %v via the interface",
+								order, root, mode, threads, i, v, viaIface.Data[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFlopCount(t *testing.T) {
 	coo, _ := tensor.Uniform(tensor.GenOptions{Dims: []int{10, 10, 10}, NNZ: 100, Seed: 56})
 	tree := csf.Build(coo, csf.DefaultPerm(3, 0))
