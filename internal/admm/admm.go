@@ -2,7 +2,7 @@
 // paper) in two forms:
 //
 //   - Run: the baseline kernel-parallel formulation (§IV-A). Every inner
-//     iteration performs one row-parallel pass (solve, prox, dual update)
+//     iteration performs one row-parallel sweep (solve, prox, dual update)
 //     followed by a global reduction of the primal/dual residuals — one
 //     fork-join barrier per iteration, and a single convergence decision
 //     shared by all rows.
@@ -50,8 +50,9 @@ type Config struct {
 	MaxIters int
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
-	// BlockSize is the rows per block for RunBlocked (<= 0 means
-	// DefaultBlockSize).
+	// BlockSize is the rows per block for RunBlocked and the rows per
+	// cache-resident tile each Run thread walks its range in (<= 0 means
+	// DefaultBlockSize). Run's results do not depend on it.
 	BlockSize int
 	// AdaptiveRho enables per-block residual balancing (Boyd et al.,
 	// §3.4.1) in RunBlocked: when a block's primal residual dominates its
@@ -65,12 +66,6 @@ type Config struct {
 	// RhoRatio is the imbalance ratio that triggers adaptation (<= 0 means
 	// 10, Boyd's suggestion).
 	RhoRatio float64
-	// Collect enables the fine-grained phase timing returned in
-	// Stats.Timing. Timing inside the inner loop uses per-thread shards
-	// merged at the join barrier, but still adds clock reads to the row
-	// loop (~10-30% on small ranks) — leave it off outside profiling runs;
-	// off, the solvers take the untimed code path and pay nothing.
-	Collect bool
 	// Telem, when non-nil, receives per-thread scheduler counters (chunks
 	// claimed, busy time) from the solve's dispatch: per-block dynamic
 	// dispatch in RunBlocked, per-iteration static spans in Run.
@@ -110,9 +105,6 @@ type Stats struct {
 	// Iterations is the global iteration count (baseline) or the maximum
 	// block iteration count (blocked).
 	Iterations int
-	// MinIterations is the minimum block iteration count (blocked; equals
-	// Iterations for the baseline).
-	MinIterations int
 	// RowIterations is Σ over rows of the iterations applied to that row —
 	// the true convergence work measure that lets baseline and blocked runs
 	// be compared fairly.
@@ -127,35 +119,38 @@ type Stats struct {
 	// (a single entry for the baseline solver, which converges globally).
 	// This is the raw data behind the per-block convergence histogram.
 	BlockIters []int
-	// Timing is the fine-grained phase split, non-nil when Config.Collect.
-	Timing *Timing
+	// Timing is the fine-grained phase split of the solve.
+	Timing Timing
 }
 
-// Timing is the fine-grained time split of one solve, collected when
-// Config.Collect is set. Cholesky is the wall time of the shared (G + rho*I)
-// factorization plus thread-summed adaptive refactorizations. Inner and Prox
-// are busy time summed across worker threads — CPU seconds, not wall clock,
-// so on p threads they can reach p times the solve's elapsed time — and
-// Prox is a subset of Inner.
+// Timing is the fine-grained time split of one solve. Cholesky is the wall
+// time of the shared (G + rho*I) factorization plus thread-summed adaptive
+// refactorizations. Prox is busy time summed across worker threads — CPU
+// seconds, not wall clock, so on p threads it can reach p times the solve's
+// elapsed time — read as one clock pair around each tile's prox pass.
 type Timing struct {
 	Cholesky time.Duration
-	Inner    time.Duration
 	Prox     time.Duration
 }
 
-// Workspace holds the per-solve scratch matrices so repeated ADMM calls (one
-// per mode per outer iteration) do not reallocate. Zero value is ready; it
-// grows on demand.
+// Workspace holds the per-thread row tiles (H̃ and H₀, min(BlockSize, rows)
+// x F each) so repeated ADMM calls (one per mode per outer iteration) do not
+// reallocate. Zero value is ready; it grows on demand. A nil *Workspace
+// makes the solve allocate its own.
 type Workspace struct {
-	ht, h0 *dense.Matrix
+	ht, h0 []*dense.Matrix
 }
 
-func (w *Workspace) ensure(rows, cols int) (ht, h0 *dense.Matrix) {
-	if w.ht == nil || w.ht.Rows < rows || w.ht.Cols != cols {
-		w.ht = dense.New(rows, cols)
-		w.h0 = dense.New(rows, cols)
+func (w *Workspace) tiles(threads, rows, cols int) (ht, h0 []*dense.Matrix) {
+	if len(w.ht) < threads || w.ht[0].Rows < rows || w.ht[0].Cols != cols {
+		w.ht = make([]*dense.Matrix, threads)
+		w.h0 = make([]*dense.Matrix, threads)
+		for t := range threads {
+			w.ht[t] = dense.New(rows, cols)
+			w.h0[t] = dense.New(rows, cols)
+		}
 	}
-	return w.ht.RowBlock(0, rows), w.h0.RowBlock(0, rows)
+	return w.ht, w.h0
 }
 
 // prepare computes the shared per-solve quantities: ρ = trace(G)/F and the
@@ -176,62 +171,107 @@ func prepare(g *dense.Matrix) (float64, *dense.Cholesky, error) {
 	return rho, ch, nil
 }
 
-// iterate performs Algorithm 1's lines 6-11 once over rows [0, n) of the
-// given views, returning the squared residual pieces:
-// primal num ‖H−H̃ᵀ‖², ‖H‖², dual num ‖H−H₀‖², ‖U‖².
-func iterate(h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, ch *dense.Cholesky) (pNum, pDen, dNum, dDen float64) {
-	n := h.Rows
-	f := h.Cols
-	for i := 0; i < n; i++ {
-		hRow, uRow, kRow := h.Row(i), u.Row(i), k.Row(i)
-		htRow, h0Row := ht.Row(i), h0.Row(i)
-		// Line 6: H̃ᵀ(i,:) = (G+ρI)⁻¹ (K + ρ(H+U))(i,:).
-		for j := 0; j < f; j++ {
-			htRow[j] = kRow[j] + rho*(hRow[j]+uRow[j])
-		}
-		ch.SolveVec(htRow)
-		// Line 7: H₀ = H.
-		copy(h0Row, hRow)
-		// Line 8: H = prox(H̃ᵀ − U).
-		for j := 0; j < f; j++ {
-			hRow[j] = htRow[j] - uRow[j]
-		}
-		op.ApplyRow(hRow, rho)
-		// Line 9: U = U + H − H̃ᵀ.
-		for j := 0; j < f; j++ {
-			uRow[j] += hRow[j] - htRow[j]
-			// Lines 10-11 numerators/denominators.
-			dp := hRow[j] - htRow[j]
-			pNum += dp * dp
-			pDen += hRow[j] * hRow[j]
-			dd := hRow[j] - h0Row[j]
-			dNum += dd * dd
-			dDen += uRow[j] * uRow[j]
-		}
-	}
-	return pNum, pDen, dNum, dDen
+// solver is the per-solve state Run and RunBlocked share.
+type solver struct {
+	h, u, k  *dense.Matrix
+	op       prox.Operator
+	rho      float64
+	ch       *dense.Cholesky
+	eps      float64
+	maxIters int
+	threads  int
+	bs       int
+	ht, h0   []*dense.Matrix // per-thread tiles
+	proxNs   []int64         // per-thread prox time, merged after the join
+	cholNs   []int64         // per-thread adaptive refactorization time
+	cholTime time.Duration   // the shared factorization's wall time
 }
 
-// iterateTimed is iterate with the prox applications timed, accumulating
-// nanoseconds into *proxNs. A separate function so the untimed hot path
-// carries no clock reads; the two row loops must stay in lockstep.
-func iterateTimed(h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, ch *dense.Cholesky, proxNs *int64) (pNum, pDen, dNum, dDen float64) {
-	n := h.Rows
+// newSolver validates the shapes, factorizes (G + ρI) under the Cholesky
+// timer, resolves the defaults, and sizes the per-thread tiles and shards.
+func newSolver(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (*solver, error) {
+	if err := checkShapes(h, u, k, g); err != nil {
+		return nil, err
+	}
+	cholStart := time.Now()
+	rho, ch, err := prepare(g)
+	if err != nil {
+		return nil, err
+	}
+	s := &solver{
+		h: h, u: u, k: k,
+		op:       cfg.prox(),
+		rho:      rho,
+		ch:       ch,
+		eps:      cfg.eps(),
+		maxIters: cfg.maxIters(),
+		threads:  par.Threads(cfg.Threads),
+		bs:       cfg.blockSize(),
+		cholTime: time.Since(cholStart),
+	}
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	s.ht, s.h0 = ws.tiles(s.threads, min(s.bs, h.Rows), h.Cols)
+	s.proxNs = make([]int64, s.threads)
+	s.cholNs = make([]int64, s.threads)
+	return s, nil
+}
+
+// timing merges the per-thread shards into the solve's Timing.
+func (s *solver) timing() Timing {
+	return Timing{Cholesky: s.cholTime + sumNs(s.cholNs), Prox: sumNs(s.proxNs)}
+}
+
+func sumNs(ns []int64) time.Duration {
+	var total int64
+	for _, v := range ns {
+		total += v
+	}
+	return time.Duration(total)
+}
+
+// residuals holds the squared residual pieces of Algorithm 1's lines 10-11:
+// primal num ‖H−H̃ᵀ‖², ‖H‖², dual num ‖H−H₀‖², ‖U‖².
+type residuals struct{ pNum, pDen, dNum, dDen float64 }
+
+// iterate performs Algorithm 1's lines 6-11 once over rows [lo, hi) of H, U
+// and K, using thread tid's tiles, and adds the rows' residual pieces into
+// r. It runs three passes over the rows: (1) solve for H̃ᵀ, save H₀ and set
+// H = H̃ᵀ − U; (2) the prox, timed once for the whole pass; (3) the dual
+// update and the residual sums in row order. Each row's own operations run
+// in the same order as in a single fused pass, and rows never read each
+// other, so the split changes no bit of the result.
+func (s *solver) iterate(tid, lo, hi int, rho float64, ch *dense.Cholesky, r *residuals) {
+	h, u, k := s.h, s.u, s.k
+	ht, h0 := s.ht[tid], s.h0[tid]
 	f := h.Cols
-	for i := 0; i < n; i++ {
+	// Pass 1, lines 6-8 before the prox: H̃ᵀ(i,:) = (G+ρI)⁻¹ (K + ρ(H+U))(i,:),
+	// H₀ = H, H = H̃ᵀ − U.
+	for i := lo; i < hi; i++ {
 		hRow, uRow, kRow := h.Row(i), u.Row(i), k.Row(i)
-		htRow, h0Row := ht.Row(i), h0.Row(i)
+		htRow := ht.Row(i - lo)
 		for j := 0; j < f; j++ {
 			htRow[j] = kRow[j] + rho*(hRow[j]+uRow[j])
 		}
 		ch.SolveVec(htRow)
-		copy(h0Row, hRow)
+		copy(h0.Row(i-lo), hRow)
 		for j := 0; j < f; j++ {
 			hRow[j] = htRow[j] - uRow[j]
 		}
-		proxStart := time.Now()
-		op.ApplyRow(hRow, rho)
-		*proxNs += int64(time.Since(proxStart))
+	}
+	// Pass 2, line 8: H = prox(H̃ᵀ − U).
+	proxStart := time.Now()
+	for i := lo; i < hi; i++ {
+		s.op.ApplyRow(h.Row(i), rho)
+	}
+	s.proxNs[tid] += int64(time.Since(proxStart))
+	// Pass 3, line 9: U = U + H − H̃ᵀ, with lines 10-11's numerators and
+	// denominators.
+	pNum, pDen, dNum, dDen := r.pNum, r.pDen, r.dNum, r.dDen
+	for i := lo; i < hi; i++ {
+		hRow, uRow := h.Row(i), u.Row(i)
+		htRow, h0Row := ht.Row(i-lo), h0.Row(i-lo)
 		for j := 0; j < f; j++ {
 			uRow[j] += hRow[j] - htRow[j]
 			dp := hRow[j] - htRow[j]
@@ -242,7 +282,18 @@ func iterateTimed(h, u, k, ht, h0 *dense.Matrix, op prox.Operator, rho float64, 
 			dDen += uRow[j] * uRow[j]
 		}
 	}
-	return pNum, pDen, dNum, dDen
+	*r = residuals{pNum, pDen, dNum, dDen}
+}
+
+// sweep runs one baseline iteration over rows [begin, end) in BlockSize-row
+// tiles, carrying the residual sums across tiles so they add up in row
+// order, exactly as one pass over the whole range would.
+func (s *solver) sweep(tid, begin, end int) residuals {
+	var r residuals
+	for lo := begin; lo < end; lo += s.bs {
+		s.iterate(tid, lo, min(lo+s.bs, end), s.rho, s.ch, &r)
+	}
+	return r
 }
 
 // AbsTol is the per-element absolute residual floor combined with the
@@ -263,90 +314,39 @@ func converged(pNum, pDen, dNum, dDen, eps float64, count int) bool {
 // Run executes the baseline kernel-parallel ADMM (Algorithm 1, §IV-A):
 // rows are statically partitioned across threads inside every iteration and
 // the residuals are reduced globally, so all rows share one iteration count.
-// h and u are updated in place; k and g are read-only.
+// Each thread sweeps its range in BlockSize-row tiles. h and u are updated in
+// place; k and g are read-only.
 func Run(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, error) {
-	if err := checkShapes(h, u, k, g); err != nil {
-		return Stats{}, err
-	}
-	var tm *Timing
-	if cfg.Collect {
-		tm = &Timing{}
-	}
-	cholStart := time.Now()
-	rho, ch, err := prepare(g)
+	s, err := newSolver(h, u, k, g, ws, cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	if tm != nil {
-		tm.Cholesky = time.Since(cholStart)
-	}
-	op := cfg.prox()
-	eps := cfg.eps()
-	maxIters := cfg.maxIters()
-	threads := par.Threads(cfg.Threads)
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	ht, h0 := ws.ensure(h.Rows, h.Cols)
-
-	// Per-thread timing shards, merged after the loop (at the barrier).
-	var innerNs, proxNs []int64
-	if tm != nil {
-		innerNs = make([]int64, threads)
-		proxNs = make([]int64, threads)
-	}
-
 	st := Stats{Blocks: 1}
-	for it := 1; it <= maxIters; it++ {
-		// One fused row pass per iteration; the join plus the residual
+	partial := make([]residuals, s.threads)
+	for it := 1; it <= s.maxIters; it++ {
+		// One row-parallel sweep per iteration; the join plus the residual
 		// aggregation below is the per-iteration synchronization the blocked
 		// variant eliminates.
-		type quad struct{ pn, pd, dn, dd float64 }
-		partial := make([]quad, threads)
-		par.StaticT(cfg.Telem, h.Rows, threads, func(tid, begin, end int) {
-			hb, ub := h.RowBlock(begin, end), u.RowBlock(begin, end)
-			kb := k.RowBlock(begin, end)
-			htb, h0b := ht.RowBlock(begin, end), h0.RowBlock(begin, end)
-			var pn, pd, dn, dd float64
-			if tm != nil {
-				start := time.Now()
-				pn, pd, dn, dd = iterateTimed(hb, ub, kb, htb, h0b, op, rho, ch, &proxNs[tid])
-				innerNs[tid] += int64(time.Since(start))
-			} else {
-				pn, pd, dn, dd = iterate(hb, ub, kb, htb, h0b, op, rho, ch)
-			}
-			partial[tid] = quad{pn, pd, dn, dd}
+		par.StaticT(cfg.Telem, h.Rows, s.threads, func(tid, begin, end int) {
+			partial[tid] = s.sweep(tid, begin, end)
 		})
-		var pn, pd, dn, dd float64
+		var r residuals
 		for _, q := range partial {
-			pn += q.pn
-			pd += q.pd
-			dn += q.dn
-			dd += q.dd
+			r.pNum += q.pNum
+			r.pDen += q.pDen
+			r.dNum += q.dNum
+			r.dDen += q.dDen
 		}
 		st.Iterations = it
-		st.MinIterations = it
 		st.RowIterations += int64(h.Rows)
-		if converged(pn, pd, dn, dd, eps, h.Rows*h.Cols) {
+		if converged(r.pNum, r.pDen, r.dNum, r.dDen, s.eps, h.Rows*h.Cols) {
 			st.Converged = true
 			break
 		}
 	}
 	st.BlockIters = []int{st.Iterations}
-	if tm != nil {
-		tm.Inner = sumNs(innerNs)
-		tm.Prox = sumNs(proxNs)
-		st.Timing = tm
-	}
+	st.Timing = s.timing()
 	return st, nil
-}
-
-func sumNs(ns []int64) time.Duration {
-	var total int64
-	for _, v := range ns {
-		total += v
-	}
-	return time.Duration(total)
 }
 
 // RunBlocked executes the blockwise reformulation (§IV-B): rows are split
@@ -355,51 +355,19 @@ func sumNs(ns []int64) time.Duration {
 // threads dynamically (block-granular load balancing). h and u are updated
 // in place; k and g are read-only.
 func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, error) {
-	if err := checkShapes(h, u, k, g); err != nil {
-		return Stats{}, err
-	}
-	var tm *Timing
-	if cfg.Collect {
-		tm = &Timing{}
-	}
-	cholStart := time.Now()
-	rho, ch, err := prepare(g)
+	s, err := newSolver(h, u, k, g, ws, cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	if tm != nil {
-		tm.Cholesky = time.Since(cholStart)
-	}
-	op := cfg.prox()
-	eps := cfg.eps()
-	maxIters := cfg.maxIters()
-	threads := par.Threads(cfg.Threads)
-	bs := cfg.blockSize()
-
+	bs := s.bs
 	nBlocks := (h.Rows + bs - 1) / bs
 	if nBlocks == 0 {
-		return Stats{Blocks: 0, Converged: true, Timing: tm}, nil
+		return Stats{Blocks: 0, Converged: true, Timing: s.timing()}, nil
 	}
 
-	// Per-thread timing shards, merged after the join barrier below.
-	var innerNs, proxNs, cholNs []int64
-	if tm != nil {
-		innerNs = make([]int64, threads)
-		proxNs = make([]int64, threads)
-		cholNs = make([]int64, threads)
-	}
 	iters := make([]int, nBlocks)
 	convergedFlags := make([]bool, nBlocks)
 	rowIters := make([]int64, nBlocks)
-
-	// Per-thread scratch reused across all blocks a worker claims; its size
-	// (2·BlockSize·F) is the cache-resident working set §IV-B relies on.
-	scratchHt := make([]*dense.Matrix, threads)
-	scratchH0 := make([]*dense.Matrix, threads)
-	for t := 0; t < threads; t++ {
-		scratchHt[t] = dense.New(bs, h.Cols)
-		scratchH0[t] = dense.New(bs, h.Cols)
-	}
 
 	ratio := cfg.RhoRatio
 	if ratio <= 0 {
@@ -409,35 +377,27 @@ func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, err
 	adaptations := make([]int64, nBlocks)
 
 	tracer := cfg.Telem.Tracer()
-	par.DynamicItemsT(cfg.Telem, nBlocks, threads, func(tid, b int) {
+	// A worker reuses its tiles for every block it claims; their size
+	// (2·BlockSize·F) is the cache-resident working set §IV-B relies on.
+	par.DynamicItemsT(cfg.Telem, nBlocks, s.threads, func(tid, b int) {
 		sp := tracer.Begin("admm", "admm_block", -1, tid, int64(b))
 		begin := b * bs
 		end := min(begin+bs, h.Rows)
-		hb := h.RowBlock(begin, end)
-		ub := u.RowBlock(begin, end)
-		kb := k.RowBlock(begin, end)
 		rows := end - begin
-		ht := scratchHt[tid].RowBlock(0, rows)
-		h0 := scratchH0[tid].RowBlock(0, rows)
 		// Per-block penalty state; the shared factorization is used until a
 		// block adapts, after which it owns a private one.
-		bRho, bCh := rho, ch
-		for it := 1; it <= maxIters; it++ {
-			var pn, pd, dn, dd float64
-			if tm != nil {
-				start := time.Now()
-				pn, pd, dn, dd = iterateTimed(hb, ub, kb, ht, h0, op, bRho, bCh, &proxNs[tid])
-				innerNs[tid] += int64(time.Since(start))
-			} else {
-				pn, pd, dn, dd = iterate(hb, ub, kb, ht, h0, op, bRho, bCh)
-			}
+		bRho, bCh := s.rho, s.ch
+		for it := 1; it <= s.maxIters; it++ {
+			var r residuals
+			s.iterate(tid, begin, end, bRho, bCh, &r)
+			pn, pd, dn, dd := r.pNum, r.pDen, r.dNum, r.dDen
 			iters[b] = it
 			rowIters[b] += int64(rows)
-			if converged(pn, pd, dn, dd, eps, rows*h.Cols) {
+			if converged(pn, pd, dn, dd, s.eps, rows*h.Cols) {
 				convergedFlags[b] = true
 				break
 			}
-			if cfg.AdaptiveRho && it < maxIters {
+			if cfg.AdaptiveRho && it < s.maxIters {
 				// Residual balancing (Boyd §3.4.1): grow ρ when the primal
 				// residual dominates, shrink when the dual does. The scaled
 				// dual U = Y/ρ is rescaled inversely.
@@ -453,36 +413,25 @@ func RunBlocked(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, err
 				newRho := bRho * scale
 				refactorStart := time.Now()
 				newCh, _, err := dense.NewCholeskyJitter(dense.AddScaledIdentity(g, newRho), 0, 30)
-				if tm != nil {
-					cholNs[tid] += int64(time.Since(refactorStart))
-				}
+				s.cholNs[tid] += int64(time.Since(refactorStart))
 				if err != nil {
 					continue // keep the old penalty; adaptation is best-effort
 				}
 				bRho, bCh = newRho, newCh
-				dense.Scale(ub, 1/scale)
+				dense.Scale(u.RowBlock(begin, end), 1/scale)
 				adaptations[b]++
 			}
 		}
 		sp.End()
 	})
 
-	st := Stats{Blocks: nBlocks, Converged: true, MinIterations: iters[0], BlockIters: iters}
-	if tm != nil {
-		tm.Cholesky += sumNs(cholNs)
-		tm.Inner = sumNs(innerNs)
-		tm.Prox = sumNs(proxNs)
-		st.Timing = tm
-	}
+	st := Stats{Blocks: nBlocks, Converged: true, BlockIters: iters, Timing: s.timing()}
 	for _, a := range adaptations {
 		st.RhoAdaptations += a
 	}
 	for b := 0; b < nBlocks; b++ {
 		if iters[b] > st.Iterations {
 			st.Iterations = iters[b]
-		}
-		if iters[b] < st.MinIterations {
-			st.MinIterations = iters[b]
 		}
 		st.RowIterations += rowIters[b]
 		if !convergedFlags[b] {

@@ -3,6 +3,7 @@ package admm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aoadmm/internal/dense"
@@ -213,8 +214,8 @@ func TestBlockedSavesWorkOnNonUniformRows(t *testing.T) {
 	}
 	// (i) Convergence is non-uniform across blocks: block iteration counts
 	// must differ (the mechanism §IV-B exploits).
-	if blk.MinIterations >= blk.Iterations {
-		t.Fatalf("expected non-uniform block iterations, got min=%d max=%d", blk.MinIterations, blk.Iterations)
+	if minIt := slices.Min(blk.BlockIters); minIt >= blk.Iterations {
+		t.Fatalf("expected non-uniform block iterations, got min=%d max=%d", minIt, blk.Iterations)
 	}
 	// (ii) Work is localized: total row-iterations must be below running
 	// every row to the slowest block's count, which is what a baseline whose
@@ -283,27 +284,43 @@ func TestBlockedThreadCountsAgree(t *testing.T) {
 }
 
 func TestWorkspaceReuse(t *testing.T) {
-	ws := &Workspace{}
-	h, u, k, g := problem(50, 3, 78)
-	if _, err := Run(h, u, k, g, ws, Config{MaxIters: 5}); err != nil {
-		t.Fatal(err)
-	}
-	first := ws.ht
-	// Second solve with same shape must reuse the buffer.
-	h2, u2, k2, _ := problem(50, 3, 79)
-	if _, err := Run(h2, u2, k2, g, ws, Config{MaxIters: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if ws.ht != first {
-		t.Fatal("workspace not reused for same-shape solve")
-	}
-	// Larger solve must grow it.
-	h3, u3, k3, g3 := problem(80, 3, 80)
-	if _, err := Run(h3, u3, k3, g3, ws, Config{MaxIters: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if ws.ht == first {
-		t.Fatal("workspace not grown for larger solve")
+	for name, run := range map[string]func(h, u, k, g *dense.Matrix, ws *Workspace, cfg Config) (Stats, error){
+		"baseline": Run, "blocked": RunBlocked,
+	} {
+		ws := &Workspace{}
+		cfg := Config{MaxIters: 5, Threads: 2, BlockSize: 16}
+		h, u, k, g := problem(50, 3, 78)
+		if _, err := run(h, u, k, g, ws, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(ws.ht) != 2 || ws.ht[0].Rows != 16 {
+			t.Fatalf("%s: tiles %d x %d rows, want 2 x 16", name, len(ws.ht), ws.ht[0].Rows)
+		}
+		first := ws.ht[0]
+		// A second same-shape solve must reuse the tiles.
+		h2, u2, k2, _ := problem(50, 3, 79)
+		if _, err := run(h2, u2, k2, g, ws, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if ws.ht[0] != first {
+			t.Fatalf("%s: workspace not reused for same-shape solve", name)
+		}
+		// More rows fit the same BlockSize-row tiles.
+		h3, u3, k3, _ := problem(80, 3, 80)
+		if _, err := run(h3, u3, k3, g, ws, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if ws.ht[0] != first {
+			t.Fatalf("%s: workspace not reused for a taller solve", name)
+		}
+		// A wider rank must grow them.
+		h4, u4, k4, g4 := problem(50, 4, 81)
+		if _, err := run(h4, u4, k4, g4, ws, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if ws.ht[0] == first || ws.ht[0].Cols != 4 {
+			t.Fatalf("%s: workspace not grown for a wider solve", name)
+		}
 	}
 }
 
@@ -419,23 +436,11 @@ func TestRunBlockedBlockIters(t *testing.T) {
 	if len(st.BlockIters) != st.Blocks {
 		t.Fatalf("len(BlockIters) = %d, Blocks = %d", len(st.BlockIters), st.Blocks)
 	}
-	maxIt, minIt := 0, math.MaxInt
-	for _, it := range st.BlockIters {
-		if it <= 0 {
-			t.Fatalf("block reported %d iterations", it)
-		}
-		if it > maxIt {
-			maxIt = it
-		}
-		if it < minIt {
-			minIt = it
-		}
+	if minIt := slices.Min(st.BlockIters); minIt <= 0 {
+		t.Fatalf("block reported %d iterations", minIt)
 	}
-	if maxIt != st.Iterations {
+	if maxIt := slices.Max(st.BlockIters); maxIt != st.Iterations {
 		t.Fatalf("max block iters %d != Iterations %d", maxIt, st.Iterations)
-	}
-	if minIt != st.MinIterations {
-		t.Fatalf("min block iters %d != MinIterations %d", minIt, st.MinIterations)
 	}
 }
 
@@ -453,48 +458,23 @@ func TestRunBaselineBlockIters(t *testing.T) {
 func TestCollectTiming(t *testing.T) {
 	h, u, k, g := problem(200, 8, 75)
 	st, err := RunBlocked(h, u, k, g, nil,
-		Config{Eps: 1e-6, MaxIters: 200, Threads: 2, BlockSize: 32, Prox: prox.NonNegative{}, Collect: true, AdaptiveRho: true})
+		Config{Eps: 1e-6, MaxIters: 200, Threads: 2, BlockSize: 32, Prox: prox.NonNegative{}, AdaptiveRho: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := st.Timing
-	if tm == nil {
-		t.Fatal("Collect did not produce Timing")
-	}
-	if tm.Cholesky <= 0 {
-		t.Fatalf("Cholesky time %v, want > 0", tm.Cholesky)
-	}
-	if tm.Inner <= 0 || tm.Prox <= 0 {
-		t.Fatalf("Inner %v Prox %v, want both > 0", tm.Inner, tm.Prox)
-	}
-	if tm.Prox > tm.Inner {
-		t.Fatalf("Prox %v exceeds Inner %v (prox is a subset of the inner loop)", tm.Prox, tm.Inner)
-	}
-
-	// Untimed runs must not allocate a Timing.
-	h2, u2, k2, g2 := problem(200, 8, 75)
-	st2, err := RunBlocked(h2, u2, k2, g2, nil,
-		Config{Eps: 1e-6, MaxIters: 200, Threads: 2, BlockSize: 32, Prox: prox.NonNegative{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Timing != nil {
-		t.Fatal("Timing allocated without Collect")
-	}
-	// And timing must not change the math: identical inputs, identical result.
-	if d := dense.MaxAbsDiff(h, h2); d != 0 {
-		t.Fatalf("timed and untimed solves diverge by %v", d)
+	if st.Timing.Cholesky <= 0 || st.Timing.Prox <= 0 {
+		t.Fatalf("blocked timing = %+v, want Cholesky and Prox > 0", st.Timing)
 	}
 }
 
 func TestRunCollectTiming(t *testing.T) {
 	h, u, k, g := problem(80, 4, 76)
 	st, err := Run(h, u, k, g, nil,
-		Config{Eps: 1e-6, MaxIters: 200, Threads: 2, Prox: prox.NonNegative{}, Collect: true})
+		Config{Eps: 1e-6, MaxIters: 200, Threads: 2, Prox: prox.NonNegative{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Timing == nil || st.Timing.Inner <= 0 || st.Timing.Prox <= 0 {
-		t.Fatalf("baseline Collect timing = %+v", st.Timing)
+	if st.Timing.Cholesky <= 0 || st.Timing.Prox <= 0 {
+		t.Fatalf("baseline timing = %+v, want Cholesky and Prox > 0", st.Timing)
 	}
 }

@@ -92,7 +92,8 @@ type JobSpec struct {
 	Format string `json:"format,omitempty"`
 	// CollectMetrics records an aoadmm-metrics/v1 report served at /metrics
 	// once the job finishes. Defaults to true; set to false explicitly to
-	// skip the ~10-30% collection overhead.
+	// skip the collection overhead (about 2% of an ADMM-bound fit; see
+	// core.Options.CollectMetrics).
 	CollectMetrics *bool `json:"collect_metrics,omitempty"`
 	// CheckpointEvery is the checkpoint interval in outer iterations
 	// (default 5). Checkpoints make cancellation, daemon shutdown, and crash
