@@ -1,19 +1,15 @@
-// Distributed: run AO-ADMM on the real networked engine — a coordinator and
-// worker processes talking the distnet wire protocol over localhost TCP —
-// and check its communication profile against the analytic simulator. The
-// two agree byte-for-byte, demonstrating the paper's §IV-B observation on
-// real sockets: blocked ADMM needs no communication beyond the MTTKRP
-// exchange.
+// Distributed: run AO-ADMM on the networked engine — a coordinator and
+// workers talking the distnet wire protocol over loopback TCP — across node
+// counts, and print the communication each phase costs. The inner ADMM moves
+// zero bytes at every node count, the paper's §IV-B observation on real
+// sockets: blocked ADMM needs no communication beyond the MTTKRP exchange.
 //
 // Run with:
 //
-//	go run ./examples/distributed          # networked engine + simulator cross-check
-//	go run ./examples/distributed -sim     # analytic simulator only (original demo)
+//	go run ./examples/distributed
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -23,8 +19,6 @@ import (
 	"aoadmm/internal/dist"
 	"aoadmm/internal/distnet"
 	"aoadmm/internal/ooc"
-	"aoadmm/internal/prox"
-	"aoadmm/internal/tensor"
 )
 
 const (
@@ -33,60 +27,14 @@ const (
 	seed  = 1
 )
 
-func main() {
-	simOnly := flag.Bool("sim", false, "run only the analytic communication simulator (no sockets)")
-	flag.Parse()
+var nodeCounts = []int{1, 2, 4, 8, 16}
 
+func main() {
 	x, err := aoadmm.Dataset("nell", aoadmm.ScaleSmall)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("tensor:", x)
-
-	if *simOnly {
-		simSweep(x)
-		return
-	}
-	networked(x)
-}
-
-// simSweep is the original demo: the analytic simulator across node counts.
-func simSweep(x *tensor.COO) {
-	fmt.Printf("\n%-6s %10s %12s %12s %12s %16s\n",
-		"nodes", "rel err", "mttkrp MB", "factor MB", "admm bytes", "baseline admm KB")
-	for _, nodes := range []int{1, 2, 4, 8, 16} {
-		res, err := simulate(x, nodes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		baseline := dist.BaselineADMMCommBytes(nodes, x.Order(), res.OuterIters, 10)
-		fmt.Printf("%-6d %10.4f %12.2f %12.2f %12d %16.1f\n",
-			nodes, res.RelErr,
-			float64(res.Comm.MTTKRPBytes)/1e6,
-			float64(res.Comm.FactorBytes)/1e6,
-			res.Comm.ADMMBytes,
-			float64(baseline)/1e3)
-	}
-	fmt.Println("\nblocked ADMM moves zero bytes during the inner iterations at every node")
-	fmt.Println("count; only the MTTKRP reduce-scatter and the factor allgather communicate.")
-}
-
-func simulate(x *tensor.COO, nodes int) (*dist.Result, error) {
-	return dist.Run(x.Clone(), dist.Options{
-		Nodes:         nodes,
-		Rank:          rank,
-		Constraints:   []prox.Operator{prox.NonNegative{}},
-		MaxOuterIters: iters,
-		Seed:          seed,
-	})
-}
-
-// networked runs the same factorization on real TCP sockets: an in-process
-// coordinator plus worker goroutines (the same code paths `aoadmmd -role
-// coordinator|worker` runs as separate processes), then cross-checks fit and
-// collective volume against the simulator.
-func networked(x *tensor.COO) {
-	const workers = 4
 
 	// The networked engine streams from a shard store; convert once.
 	dir, err := os.MkdirTemp("", "aoadmm-dist-example-")
@@ -94,76 +42,51 @@ func networked(x *tensor.COO) {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	shardDir := filepath.Join(dir, "x.aoshard")
-	st, err := ooc.ConvertCOO(x.Clone(), shardDir, ooc.ConvertOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The simulator consumes the store's canonical entry order so its float
-	// summation matches what the workers stream shard-by-shard.
-	canon, err := st.ReadAll()
+	st, err := ooc.ConvertCOO(x, filepath.Join(dir, "x.aoshard"), ooc.ConvertOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	coord, err := distnet.Listen(distnet.Config{Listen: "127.0.0.1:0"})
+	// An in-process coordinator plus worker goroutines: the same code paths
+	// `aoadmmd -role coordinator|worker` runs as separate processes. Each
+	// job spreads over the first `nodes` of them.
+	c, err := distnet.StartLocal(nodeCounts[len(nodeCounts)-1], distnet.Config{}, distnet.WorkerConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer coord.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for i := 0; i < workers; i++ {
-		w := distnet.NewWorker(distnet.WorkerConfig{
-			CoordinatorAddr: coord.Addr(),
-			Name:            fmt.Sprintf("w%d", i),
+	defer c.Close()
+	fmt.Printf("coordinator on %s, %d workers joined\n", c.Coord.Addr(), len(c.Workers))
+
+	fmt.Printf("\n%-6s %10s %12s %12s %12s %16s %10s\n",
+		"nodes", "rel err", "mttkrp MB", "factor MB", "admm bytes", "baseline admm KB", "wire MB")
+	for _, nodes := range nodeCounts {
+		res, err := c.Coord.RunJob(distnet.JobOptions{
+			JobID:          fmt.Sprintf("example-%d", nodes),
+			ShardDir:       st.Dir(),
+			Rank:           rank,
+			Constraint:     "nonneg",
+			MaxOuterIters:  iters,
+			Seed:           seed,
+			Workers:        nodes,
+			WaitForWorkers: nodes,
 		})
-		defer w.Close()
-		go w.Run(ctx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		baseline := dist.BaselineADMMCommBytes(nodes, x.Order(), res.OuterIters, 10)
+		fmt.Printf("%-6d %10.4f %12.2f %12.2f %12d %16.1f %10.2f\n",
+			nodes, res.RelErr,
+			float64(res.Comm.MTTKRPBytes)/1e6,
+			float64(res.Comm.FactorBytes)/1e6,
+			res.Comm.ADMMBytes,
+			float64(baseline)/1e3,
+			float64(res.WireBytesSent+res.WireBytesReceived)/1e6)
+		if res.Comm.ADMMBytes != 0 {
+			log.Fatalf("nodes=%d: inner ADMM moved %d bytes; the blocked variant must not communicate",
+				nodes, res.Comm.ADMMBytes)
+		}
 	}
-	fmt.Printf("\ncoordinator on %s, %d workers dialing in\n", coord.Addr(), workers)
-
-	res, err := coord.RunJob(distnet.JobOptions{
-		JobID:          "example",
-		ShardDir:       shardDir,
-		Rank:           rank,
-		Constraint:     "nonneg",
-		MaxOuterIters:  iters,
-		Seed:           seed,
-		Workers:        workers,
-		WaitForWorkers: workers,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	sim, err := dist.Run(canon, dist.Options{
-		Nodes:         workers,
-		Rank:          rank,
-		Constraints:   []prox.Operator{prox.NonNegative{}},
-		MaxOuterIters: iters,
-		Seed:          seed,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("\n%-22s %14s %14s\n", "", "networked", "simulator")
-	fmt.Printf("%-22s %14.6f %14.6f\n", "final rel err", res.RelErr, sim.RelErr)
-	fmt.Printf("%-22s %14d %14d\n", "mttkrp bytes", res.Comm.MTTKRPBytes, sim.Comm.MTTKRPBytes)
-	fmt.Printf("%-22s %14d %14d\n", "factor bytes", res.Comm.FactorBytes, sim.Comm.FactorBytes)
-	fmt.Printf("%-22s %14d %14d\n", "gram bytes", res.Comm.GramBytes, sim.Comm.GramBytes)
-	fmt.Printf("%-22s %14d %14d\n", "inner-ADMM bytes", res.Comm.ADMMBytes, sim.Comm.ADMMBytes)
-	fmt.Printf("%-22s %14d %14d\n", "messages", res.Comm.Messages, sim.Comm.Messages)
-	fmt.Printf("\nphysical TCP traffic: %.2f MB sent, %.2f MB received (incl. control frames)\n",
-		float64(res.WireBytesSent)/1e6, float64(res.WireBytesReceived)/1e6)
-
-	if res.Comm != sim.Comm {
-		log.Fatal("collective volume diverged from the simulator")
-	}
-	if res.Comm.ADMMBytes != 0 {
-		log.Fatal("inner ADMM moved bytes; the blocked variant must not communicate")
-	}
-	fmt.Println("\nnetworked collectives price identically to the simulator, and the inner")
-	fmt.Println("ADMM moved zero bytes over real sockets — §IV-B holds end to end.")
+	fmt.Println("\nblocked ADMM moves zero bytes during the inner iterations at every node")
+	fmt.Println("count; only the MTTKRP reduce-scatter and the factor allgather communicate.")
+	fmt.Println("wire MB is the physical TCP traffic, control frames included.")
 }

@@ -1,13 +1,8 @@
-// Node-local building blocks of the distributed AO-ADMM engine, shared by
-// the in-process simulator (Run, this package) and the networked
-// coordinator/worker engine (internal/distnet). Both execute exactly the
-// same per-node arithmetic — the simulator is the numerical and
-// communication-cost oracle for the real engine — so everything a "node"
-// does lives here: row partitioning, non-zero placement, the partial MTTKRP,
-// the communication-free owned-rows ADMM step, and the collective pricing
-// rules. Model initialization (kruskal.Init), the Gram product
-// (dense.GramProduct) and the constraint broadcast (prox.Broadcast) are the
-// same helpers core's shared-memory loop calls.
+// Node-local building blocks of the distributed AO-ADMM engine: what every
+// worker of internal/distnet runs between collectives, and the pricing rules
+// its coordinator applies to them. Model initialization (kruskal.Init), the
+// Gram product (dense.GramProduct) and the constraint broadcast
+// (prox.Broadcast) are the same helpers core's shared-memory loop calls.
 package dist
 
 import (
@@ -40,31 +35,6 @@ func Partition(n, parts int) [][2]int {
 	return out
 }
 
-// SplitByMode0 partitions a tensor's non-zeros by the owner of their mode-0
-// slice under the given contiguous ownership ranges. Returned parts carry
-// the full global dims, so factor indices remain global.
-func SplitByMode0(x *tensor.COO, owned [][2]int) []*tensor.COO {
-	n := len(owned)
-	parts := make([]*tensor.COO, n)
-	for i := range parts {
-		parts[i] = tensor.NewCOO(x.Dims, 0)
-	}
-	ownerOf := make([]int, x.Dims[0])
-	for node, span := range owned {
-		for r := span[0]; r < span[1]; r++ {
-			ownerOf[r] = node
-		}
-	}
-	coord := make([]int, x.Order())
-	for p := 0; p < x.NNZ(); p++ {
-		for m := range coord {
-			coord[m] = int(x.Inds[m][p])
-		}
-		parts[ownerOf[coord[0]]].Append(coord, x.Vals[p])
-	}
-	return parts
-}
-
 // PartialMTTKRP computes one node's partial MTTKRP for an output mode with
 // rows global rows: the contribution of the node's local non-zeros, indexed
 // globally, ready for the reduce-scatter.
@@ -81,8 +51,9 @@ func PartialMTTKRP(tree *csf.Tensor, factors []*dense.Matrix, rows, rank int) *d
 // shard-range non-zeros compiled once at assignment time into either
 // per-mode CSF trees or the ALTO linearized format. The two kernels agree to
 // floating-point summation order (parity-tested to 1e-12 relative), so a
-// cluster may mix kernel formats across workers — but a run that must match
-// the in-process simulator bit for bit needs the CSF default everywhere.
+// cluster may mix kernel formats across workers — but a run that must be
+// bit-reproducible against the CSF reference needs the CSF default
+// everywhere.
 type LocalKernel interface {
 	// PartialMTTKRP computes the node's mode-m partial product over rows
 	// global rows, ready for the reduce-scatter.
@@ -153,13 +124,11 @@ func LocalADMM(factor, dual, k, g *dense.Matrix, cfg admm.Config) error {
 	return err
 }
 
-// Pricer applies the simulator's collective pricing rules to a CommStats.
-// The networked engine calls exactly the same methods at exactly the same
-// points as the simulator, so for an identical (tensor, nodes, rank,
-// placement) run both report identical byte counts — the schema prices the
-// logical collective volume (what a flat peer-to-peer reduce-scatter /
-// allgather / allreduce would move), independent of the physical topology
-// carrying it.
+// Pricer applies the collective pricing rules to a CommStats. The schema
+// prices the logical collective volume (what a flat peer-to-peer
+// reduce-scatter / allgather / allreduce would move), independent of the
+// physical topology carrying it, so an identical (tensor, nodes, rank,
+// placement) run always reports identical byte counts.
 type Pricer struct {
 	mu sync.Mutex
 	c  CommStats
@@ -188,13 +157,6 @@ func (p *Pricer) AllgatherNode(rows, rank, nodes int) {
 // in a flat model).
 func (p *Pricer) GramAllreduce(rank, nodes int) {
 	p.count(&p.c.GramBytes, int64(rank*rank*8)*int64(nodes-1)*2)
-}
-
-// ADMMBytes prices inner-ADMM communication. The blocked formulation never
-// calls it — the §IV-B property — but the method exists so a baseline
-// implementation would be priced in the same schema.
-func (p *Pricer) ADMMBytes(bytes int64) {
-	p.count(&p.c.ADMMBytes, bytes)
 }
 
 // Stats returns the accumulated tally.

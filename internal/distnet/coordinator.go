@@ -55,7 +55,7 @@ func (c *Config) fill() {
 
 // Stats is a point-in-time snapshot of the coordinator's counters,
 // cumulative across jobs. Collectives carries the logical collective volume
-// in the same schema the simulator prices; WireBytes* count physical TCP
+// as dist.Pricer prices it; WireBytes* count physical TCP
 // frame bytes (payload + framing), which include control traffic (assigns,
 // heartbeats, duals) the collective schema deliberately excludes.
 type Stats struct {
@@ -500,14 +500,14 @@ type JobOptions struct {
 	MaxOuterIters int
 	Tol           float64
 	// BlockSize / InnerEps / InnerMaxIters parameterize the workers' local
-	// blocked ADMM, exactly as in dist.Options.
+	// blocked ADMM (admm.Config's Eps, MaxIters and BlockSize).
 	BlockSize     int
 	InnerEps      float64
 	InnerMaxIters int
 	// Threads is the per-worker ADMM thread count (<= 0 means 1; the block
 	// grid, and therefore the arithmetic, is thread-count independent).
 	Threads int
-	// Seed drives initialization, matching core.Factorize and dist.Run.
+	// Seed drives initialization, matching core.Factorize.
 	Seed int64
 	// Trace enables cluster-wide tracing: the coordinator runs a span
 	// tracer around the per-epoch collective phases, every worker traces
@@ -546,9 +546,9 @@ type JobResult struct {
 	OuterIters int
 	Converged  bool
 	Stopped    bool
-	// Comm is the logical collective volume in the simulator's pricing
-	// schema; for a failure-free run it is byte-identical to dist.Run on
-	// the same (tensor, workers, rank, placement). Recovery epochs re-run
+	// Comm is the logical collective volume as dist.Pricer prices it; a
+	// failure-free run reports the same counts for the same (tensor,
+	// workers, rank, placement) every time. Recovery epochs re-run
 	// iterations and therefore re-price them.
 	Comm dist.CommStats
 	// WireBytesSent / WireBytesReceived are the coordinator's physical TCP
@@ -581,8 +581,9 @@ const maxJobEpochs = 64
 // paper's collective sequence — partial-MTTKRP reduce-scatter (priced per
 // non-owned non-zero row), communication-free local ADMM on owned rows,
 // factor allgather, Gram allreduce — reducing partials in slot order so the
-// float summation order, and hence the result, is bit-identical to
-// dist.Run. A worker death aborts the epoch, and the job warm-restarts on
+// float summation order, and hence the result, is bit-reproducible for a
+// given placement (the package tests pin it against a one-process reference
+// loop). A worker death aborts the epoch, and the job warm-restarts on
 // the survivors from the freshest of (last checkpoint, epoch-start state).
 func (c *Coordinator) RunJob(opts JobOptions) (*JobResult, error) {
 	c.jobMu.Lock()
@@ -818,7 +819,7 @@ func (c *Coordinator) runEpoch(ctx context.Context, e epochRun) (bool, error) {
 	dims, order, rank := e.dims, e.order, e.rank
 
 	// Per-mode contiguous row ownership: mode 0 follows nnz placement, the
-	// rest split evenly — the simulator's decomposition exactly.
+	// rest split evenly by dist.Partition.
 	owned := make([][][2]int, order)
 	owned[0] = e.ranges
 	for m := 1; m < order; m++ {
@@ -889,8 +890,8 @@ func (c *Coordinator) runEpoch(ctx context.Context, e epochRun) (bool, error) {
 
 			// Phase 1+2: partial MTTKRPs, reduce-scattered. Workers send
 			// only the non-zero rows of their partial; the reduction runs
-			// in slot order so summation order matches the simulator, and
-			// each non-owned row is priced exactly as the simulator does.
+			// in slot order so the summation order is fixed, and each
+			// non-owned row is priced as one reduce-scatter transfer.
 			rsp := e.tracer.Begin("coord", "reduce_scatter", m, obs.TIDDriver, int64(iter))
 			req := modeReq{Epoch: e.epoch, Iter: uint32(iter), Mode: uint32(m)}.encode()
 			for _, w := range e.slots {

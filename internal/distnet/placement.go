@@ -9,12 +9,11 @@ import (
 
 // Placement policies: how the coordinator carves the mode-0 dimension into
 // per-worker ranges. Every policy yields contiguous half-open ranges that
-// partition [0, Dims[0]) in slot order, the shape both dist.Run and the
+// partition [0, Dims[0]) in slot order, the shape runEpoch and the
 // checkpointed restart path expect.
 const (
 	// PlacementEven splits mode-0 rows into near-equal ranges — exactly
-	// dist.Partition, so a networked run prices the same decomposition the
-	// simulator defaults to.
+	// dist.Partition, the split every other mode uses too.
 	PlacementEven = "even"
 	// PlacementShards balances non-zeros instead of rows: workers receive
 	// contiguous runs of whole .aoshard shards with near-equal total NNZ, so

@@ -131,7 +131,7 @@ func TestTracedJobMergesProcesses(t *testing.T) {
 	x := planted(t, []int{30, 40, 50}, 2000, 7)
 	st := shardStore(t, x, 0)
 
-	res, err := c.coord.RunJob(JobOptions{
+	res, err := c.Coord.RunJob(JobOptions{
 		JobID:          "traced-job-1",
 		ShardDir:       st.Dir(),
 		Rank:           3,
@@ -213,7 +213,7 @@ func TestTracedJobMergesProcesses(t *testing.T) {
 	if doc.OtherData["job_id"] != "traced-job-1" {
 		t.Fatalf("otherData = %v", doc.OtherData)
 	}
-	if c.coord.Stats().TraceSpans == 0 {
+	if c.Coord.Stats().TraceSpans == 0 {
 		t.Fatal("TraceSpans counter did not advance")
 	}
 
@@ -221,7 +221,7 @@ func TestTracedJobMergesProcesses(t *testing.T) {
 	// the coordinator sees non-zero epoch and kernel counters per worker.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ws := c.coord.LiveWorkers()
+		ws := c.Coord.LiveWorkers()
 		ok := len(ws) == 2
 		for _, w := range ws {
 			if w.Epochs < 1 || w.ShardBytes == 0 || w.MTTKRPCalls == 0 ||

@@ -1,12 +1,11 @@
-// Package distnet is the networked distributed AO-ADMM engine: a
-// coordinator/worker subsystem that runs the reduce-scatter / allgather /
-// Gram-allreduce collectives of internal/dist over TCP instead of Go
-// channels. The in-process simulator (internal/dist) remains the numerical
-// and communication-cost oracle: both engines share the node-local compute
-// steps and the collective Pricer, so a networked run reports byte counts
-// identical to the simulator's for the same (tensor, workers, rank,
-// placement) — and the inner-ADMM phase moves exactly zero bytes, the
-// paper's §IV-B property.
+// Package distnet is the distributed AO-ADMM engine: a coordinator/worker
+// subsystem that runs the node-local steps of internal/dist on its workers
+// and the reduce-scatter / allgather / Gram-allreduce collectives between
+// them over TCP. The coordinator prices every collective with dist.Pricer,
+// so a run reports its logical communication volume — and the inner-ADMM
+// phase moves exactly zero bytes, the paper's §IV-B property. StartLocal
+// runs a whole cluster in one process over loopback TCP; the package tests
+// compare such runs bit for bit against a one-process reference loop.
 //
 // Placement reuses the out-of-core ".aoshard" mode-0 range partitions as
 // the unit of work: the coordinator assigns each worker a contiguous mode-0

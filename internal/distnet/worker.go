@@ -34,8 +34,8 @@ type WorkerConfig struct {
 	// KernelFormat picks the MTTKRP representation this worker compiles its
 	// shard range into: "" or "csf" (default), "alto", or "auto" (cost-model
 	// choice on the local partition). Selection is worker-local — no
-	// protocol change — and the CSF default keeps runs bit-identical to the
-	// in-process simulator.
+	// protocol change — and the CSF default keeps runs bit-reproducible
+	// across worker counts against the CSF reference loop.
 	KernelFormat string
 	Logger       *slog.Logger
 }
@@ -534,8 +534,8 @@ func (w *Worker) loadAssignment(a assign, prev *workerJob) (*workerJob, error) {
 }
 
 // sparsePartial extracts the non-zero rows of a partial MTTKRP — the
-// reduce-scatter contribution — using exactly the simulator's
-// any-entry-non-zero test so the priced row set matches bit for bit.
+// reduce-scatter contribution. A row counts if any entry is non-zero, and
+// every such non-owned row is priced as one reduce-scatter transfer.
 func sparsePartial(p *dense.Matrix, epoch, mode uint32) partial {
 	out := partial{Epoch: epoch, Mode: mode}
 	for r := 0; r < p.Rows; r++ {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"io"
 	"math"
 	"net/http"
@@ -48,28 +47,16 @@ func distTestShards(t *testing.T, dims []int, nnz int, seed int64) (shardDir, tn
 // daemon wired to the coordinator.
 func startDistServer(t *testing.T, n int) (*Server, *httptest.Server, *distnet.Coordinator) {
 	t.Helper()
-	coord, err := distnet.Listen(distnet.Config{
-		Listen:            "127.0.0.1:0",
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-	})
+	c, err := distnet.StartLocal(n,
+		distnet.Config{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 2 * time.Second},
+		distnet.WorkerConfig{RetryInterval: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { coord.Close() })
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	for i := 0; i < n; i++ {
-		w := distnet.NewWorker(distnet.WorkerConfig{
-			CoordinatorAddr: coord.Addr(),
-			RetryInterval:   50 * time.Millisecond,
-		})
-		t.Cleanup(w.Close)
-		go w.Run(ctx)
-	}
+	t.Cleanup(c.Close)
 	s, err := New(Config{
 		DataDir: t.TempDir(), Workers: 2, QueueCap: 8,
-		RequestTimeout: 30 * time.Second, Dist: coord,
+		RequestTimeout: 30 * time.Second, Dist: c.Coord,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +66,7 @@ func startDistServer(t *testing.T, n int) (*Server, *httptest.Server, *distnet.C
 		ts.Close()
 		s.Shutdown(10 * time.Second)
 	})
-	return s, ts, coord
+	return s, ts, c.Coord
 }
 
 // TestServeDistributedJob runs a dist_workers job through the full HTTP
@@ -113,7 +100,8 @@ func TestServeDistributedJob(t *testing.T) {
 	// Even placement keeps worker boundaries on BlockSize multiples, so the
 	// distributed block grid — and therefore the arithmetic — is identical
 	// to single-node. (Shard placement cuts at shard runs instead; its
-	// fit-vs-simulator parity is covered in the distnet package tests.)
+	// bitwise parity with a reference loop is covered in the distnet
+	// package tests.)
 	distSpec := spec
 	distSpec.DistWorkers = 2
 	distSpec.Placement = distnet.PlacementEven

@@ -1347,8 +1347,7 @@ func (m *Manager) runDistSolver(ctx context.Context, jobID string, spec JobSpec,
 	if sharded == nil {
 		return nil, fmt.Errorf("serve: distributed job %s resolved to an in-core tensor", jobID)
 	}
-	// JobOptions treats Tol <= 0 as "never stop early" (the simulator's
-	// convention); a serve job with tol omitted must instead get the same
+	// JobOptions treats Tol <= 0 as "never stop early"; a serve job with tol omitted must instead get the same
 	// default stopping rule core.Factorize applies.
 	tol := spec.Tol
 	if tol <= 0 {

@@ -171,7 +171,7 @@ func (s *Server) promDist(reg *obs.Registry) {
 		{"admm", st.Collectives.ADMMBytes},
 	} {
 		reg.CounterVal("aoadmm_dist_collective_bytes_total",
-			"Logical collective volume in the simulator's pricing schema, by collective (admm stays 0 for the blocked variant).",
+			"Logical collective volume as the engine prices it, by collective (admm stays 0 for the blocked variant).",
 			float64(kv.bytes), obs.L("collective", kv.coll))
 	}
 	reg.CounterVal("aoadmm_dist_collective_messages_total", "Discrete logical transfers across all collectives.", float64(st.Collectives.Messages))
