@@ -105,7 +105,7 @@ func TestResumeBeyondCapReturnsCheckpointState(t *testing.T) {
 	}
 }
 
-// TestCheckpointSaveFaultSurfacesOnResult: an injected SaveAtomic failure
+// TestCheckpointSaveFaultSurfacesOnResult: an injected checkpoint-save failure
 // must land in Result.CheckpointErr instead of being dropped, and a later
 // successful save clears it (retry-at-next-interval semantics).
 func TestCheckpointSaveFaultSurfacesOnResult(t *testing.T) {

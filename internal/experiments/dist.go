@@ -16,7 +16,8 @@ import (
 // process, over loopback TCP — across node counts and reports per-phase
 // communication volume, substantiating the paper's §IV-B claim: the blocked
 // ADMM phase moves zero bytes, while a baseline ADMM would pay a residual
-// allreduce per inner iteration (priced in the last column).
+// allreduce per inner iteration (priced in the last column at the same
+// Config.InnerMaxIters budget the workers run).
 func DistComm(cfg Config) error {
 	cfg.fill()
 	nodeCounts := []int{1, 2, 4, 8}
@@ -52,6 +53,7 @@ func DistComm(cfg Config) error {
 				Rank:           cfg.Rank,
 				Constraint:     "nonneg",
 				MaxOuterIters:  min(cfg.MaxOuter, 10),
+				InnerMaxIters:  cfg.InnerMaxIters,
 				Seed:           1,
 				Workers:        nodes,
 				WaitForWorkers: nodes,
@@ -59,7 +61,7 @@ func DistComm(cfg Config) error {
 			if err != nil {
 				return fmt.Errorf("dist %s nodes=%d: %w", name, nodes, err)
 			}
-			baseline := dist.BaselineADMMCommBytes(nodes, x.Order(), res.OuterIters, 10)
+			baseline := dist.BaselineADMMCommBytes(nodes, x.Order(), res.OuterIters, cfg.InnerMaxIters)
 			tbl.AddRow(name, fmt.Sprintf("%d", nodes),
 				fmt.Sprintf("%.4f", res.RelErr),
 				fmt.Sprintf("%.2f", float64(res.Comm.MTTKRPBytes)/1e6),

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"aoadmm/internal/dense"
+	"aoadmm/internal/durable"
 )
 
 // CheckpointMeta is the resume bookkeeping written beside checkpointed
@@ -31,87 +32,64 @@ type CheckpointMeta struct {
 // them makes a single-threaded resumed run reproduce the uninterrupted
 // trajectory bit for bit instead of re-converging duals from zero), and
 // optionally the meta record. Duals and Meta may be nil — a plain factor
-// directory written by SaveAtomic loads as a Checkpoint with both unset.
+// directory written by Save loads as a Checkpoint with both unset.
 type Checkpoint struct {
 	Factors *Tensor
 	Duals   []*dense.Matrix
 	Meta    *CheckpointMeta
 }
 
-// write lays the checkpoint out under dir (created if needed): the
-// kruskal.Save factor layout at the top level, dual<N>.txt beside the mode
-// files, and checkpoint.json for the meta.
-func (c Checkpoint) write(dir string) error {
+// Write lays the checkpoint out under dir (created if needed) without any
+// atomicity protocol: the kruskal.Save factor layout at the top level,
+// dual<N>.txt beside the mode files, and checkpoint.json for the meta. It is
+// for callers that stage the directory themselves (the model registry writes
+// factors and duals inside its own durable.ReplaceDir); use
+// SaveCheckpointAtomic everywhere a reader may race the write.
+func (c Checkpoint) Write(dir string) error {
 	if c.Factors == nil {
 		return fmt.Errorf("kruskal: checkpoint without factors")
 	}
 	if err := c.Factors.Save(dir); err != nil {
 		return err
 	}
-	for m, d := range c.Duals {
-		if d == nil {
-			return fmt.Errorf("kruskal: checkpoint dual %d is nil", m)
-		}
-		file, err := os.Create(filepath.Join(dir, fmt.Sprintf("dual%d.txt", m)))
-		if err != nil {
-			return err
-		}
-		if err := WriteMatrixText(file, d); err != nil {
-			file.Close()
-			return err
-		}
-		if err := file.Close(); err != nil {
-			return err
-		}
+	if err := writeMatrices(dir, "dual", c.Duals); err != nil {
+		return err
 	}
-	if c.Meta != nil {
-		raw, err := json.MarshalIndent(c.Meta, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
+	if c.Meta == nil {
+		return nil
 	}
-	return nil
+	raw, err := json.MarshalIndent(c.Meta, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, "checkpoint.json"), append(raw, '\n'), 0o644)
 }
 
-// Write lays the checkpoint out under dir without any atomicity protocol —
-// for callers that stage the directory themselves (the model registry writes
-// factors + duals inside its own temp-dir-and-rename swap). Use
-// SaveCheckpointAtomic everywhere a reader may race the write.
-func (c Checkpoint) Write(dir string) error {
-	return c.write(dir)
-}
-
-// SaveCheckpointAtomic writes the checkpoint under dir with the same
-// crash-consistent stage-and-swap protocol as SaveAtomic: a reader (or a
-// daemon restarted after a crash mid-save) only ever observes the previous
-// complete checkpoint or the new one, never a torn mix.
+// SaveCheckpointAtomic writes the checkpoint under dir through
+// durable.ReplaceDir: the files are staged in a sibling directory, fsync'd,
+// and swapped in by rename, so a reader (or a daemon restarted after a crash
+// or power cut mid-save) only ever observes the previous complete checkpoint
+// or the new one, never a torn mix.
 func SaveCheckpointAtomic(dir string, c Checkpoint) error {
-	return atomicSwapDir(dir, c.write)
+	return durable.ReplaceDir(dir, c.Write)
 }
 
-// LoadCheckpoint reads a checkpoint directory. Missing duals or meta load as
-// nil (back-compat with plain SaveAtomic factor dirs); present duals must
-// match the factor shapes or the whole checkpoint is rejected as torn.
+// LoadCheckpoint reads a checkpoint directory, first recovering the previous
+// checkpoint if a crash interrupted SaveCheckpointAtomic between its renames
+// (durable.Recover). Missing duals or meta load as nil (back-compat with
+// plain Save factor dirs); present duals must match the factor shapes or the
+// whole checkpoint is rejected as torn.
 func LoadCheckpoint(dir string) (*Checkpoint, error) {
+	if err := durable.Recover(dir); err != nil {
+		return nil, err
+	}
 	k, err := Load(dir)
 	if err != nil {
 		return nil, err
 	}
 	c := &Checkpoint{Factors: k}
-	for m := 0; ; m++ {
-		file, err := os.Open(filepath.Join(dir, fmt.Sprintf("dual%d.txt", m)))
-		if err != nil {
-			break
-		}
-		d, err := ReadMatrixText(file)
-		file.Close()
-		if err != nil {
-			return nil, fmt.Errorf("kruskal: dual%d.txt: %w", m, err)
-		}
-		c.Duals = append(c.Duals, d)
+	if c.Duals, err = readMatrices(dir, "dual"); err != nil {
+		return nil, err
 	}
 	if c.Duals != nil {
 		if len(c.Duals) != k.Order() {

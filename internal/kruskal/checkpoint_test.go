@@ -64,7 +64,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointLoadsPlainFactorDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	k := testCheckpoint(t, false, false).Factors
-	if err := k.SaveAtomic(dir); err != nil {
+	if err := SaveCheckpointAtomic(dir, Checkpoint{Factors: k}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadCheckpoint(dir)
@@ -131,6 +131,30 @@ func TestCheckpointAtomicOverwriteKeepsLatest(t *testing.T) {
 	}
 	if back.Meta.Iteration != 3 {
 		t.Fatalf("iteration %d", back.Meta.Iteration)
+	}
+	if _, err := os.Stat(dir + ".old"); !os.IsNotExist(err) {
+		t.Fatalf(".old left behind: %v", err)
+	}
+}
+
+// A crash between SaveCheckpointAtomic's two renames leaves only dir.old:
+// LoadCheckpoint must return that previous checkpoint.
+func TestLoadCheckpointRecoversOldDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	c := testCheckpoint(t, true, true)
+	c.Meta.Iteration = 7
+	if err := SaveCheckpointAtomic(dir, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(dir, dir+".old"); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Meta == nil || back.Meta.Iteration != 7 || len(back.Duals) != len(c.Duals) {
+		t.Fatalf("recovered %+v", back.Meta)
 	}
 	if _, err := os.Stat(dir + ".old"); !os.IsNotExist(err) {
 		t.Fatalf(".old left behind: %v", err)

@@ -79,19 +79,8 @@ func (k *Tensor) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for m, f := range k.Factors {
-		path := filepath.Join(dir, fmt.Sprintf("mode%d.txt", m))
-		file, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := WriteMatrixText(file, f); err != nil {
-			file.Close()
-			return err
-		}
-		if err := file.Close(); err != nil {
-			return err
-		}
+	if err := writeMatrices(dir, "mode", k.Factors); err != nil {
+		return err
 	}
 	if k.Lambda != nil {
 		file, err := os.Create(filepath.Join(dir, "lambda.txt"))
@@ -111,47 +100,44 @@ func (k *Tensor) Save(dir string) error {
 	return nil
 }
 
-// SaveAtomic writes the Kruskal tensor under dir with crash consistency: the
-// factors are staged in a temporary sibling directory and swapped into place
-// with renames, so a reader (or a daemon restarted after a crash mid-save)
-// only ever observes a complete model directory — either the previous
-// checkpoint or the new one, never a torn mix.
-func (k *Tensor) SaveAtomic(dir string) error {
-	return atomicSwapDir(dir, k.Save)
-}
-
-// atomicSwapDir stages a directory via write(tmp) in a temporary sibling and
-// swaps it into place with renames — the shared crash-consistency protocol
-// behind SaveAtomic and SaveCheckpointAtomic.
-func atomicSwapDir(dir string, write func(tmp string) error) error {
-	dir = filepath.Clean(dir)
-	parent := filepath.Dir(dir)
-	if err := os.MkdirAll(parent, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.MkdirTemp(parent, ".kruskal-save-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	if err := write(tmp); err != nil {
-		return err
-	}
-	old := dir + ".old"
-	if err := os.RemoveAll(old); err != nil {
-		return err
-	}
-	if _, err := os.Stat(dir); err == nil {
-		if err := os.Rename(dir, old); err != nil {
+// writeMatrices writes ms under dir as <prefix>0.txt, <prefix>1.txt, ....
+func writeMatrices(dir, prefix string, ms []*dense.Matrix) error {
+	for m, f := range ms {
+		if f == nil {
+			return fmt.Errorf("kruskal: %s %d is nil", prefix, m)
+		}
+		file, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s%d.txt", prefix, m)))
+		if err != nil {
+			return err
+		}
+		err = WriteMatrixText(file, f)
+		if cerr := file.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
 	}
-	if err := os.Rename(tmp, dir); err != nil {
-		// Restore the previous checkpoint rather than leaving nothing.
-		_ = os.Rename(old, dir)
-		return err
+	return nil
+}
+
+// readMatrices reads <prefix>0.txt, <prefix>1.txt, ... under dir, up to the
+// first missing one.
+func readMatrices(dir, prefix string) ([]*dense.Matrix, error) {
+	var ms []*dense.Matrix
+	for m := 0; ; m++ {
+		path := filepath.Join(dir, fmt.Sprintf("%s%d.txt", prefix, m))
+		file, err := os.Open(path)
+		if err != nil {
+			return ms, nil
+		}
+		f, err := ReadMatrixText(file)
+		file.Close()
+		if err != nil {
+			return nil, fmt.Errorf("kruskal: %s: %w", path, err)
+		}
+		ms = append(ms, f)
 	}
-	return os.RemoveAll(old)
 }
 
 // Load reads a Kruskal tensor previously written by Save. The order is
@@ -160,22 +146,12 @@ func atomicSwapDir(dir string, write func(tmp string) error) error {
 // before being returned, so corrupt or hand-edited directories fail here
 // with a descriptive error instead of panicking later in At or FMS.
 func Load(dir string) (*Tensor, error) {
-	var factors []*dense.Matrix
-	for m := 0; ; m++ {
-		path := filepath.Join(dir, fmt.Sprintf("mode%d.txt", m))
-		file, err := os.Open(path)
-		if err != nil {
-			if m == 0 {
-				return nil, fmt.Errorf("kruskal: no mode0.txt in %s", dir)
-			}
-			break
-		}
-		f, err := ReadMatrixText(file)
-		file.Close()
-		if err != nil {
-			return nil, fmt.Errorf("kruskal: %s: %w", path, err)
-		}
-		factors = append(factors, f)
+	factors, err := readMatrices(dir, "mode")
+	if err != nil {
+		return nil, err
+	}
+	if len(factors) == 0 {
+		return nil, fmt.Errorf("kruskal: no mode0.txt in %s", dir)
 	}
 	k := &Tensor{Factors: factors}
 	if file, err := os.Open(filepath.Join(dir, "lambda.txt")); err == nil {

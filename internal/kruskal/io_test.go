@@ -115,7 +115,7 @@ func TestValidate(t *testing.T) {
 func TestSaveAtomicSwapsCompleteDirs(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "model")
 	a := Random([]int{5, 6}, 2, rand.New(rand.NewSource(1)))
-	if err := a.SaveAtomic(dir); err != nil {
+	if err := SaveCheckpointAtomic(dir, Checkpoint{Factors: a}); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite with a different-shaped model: the swap must leave exactly
@@ -123,7 +123,7 @@ func TestSaveAtomicSwapsCompleteDirs(t *testing.T) {
 	// .old leftovers beside it.
 	b := Random([]int{5, 6, 7}, 3, rand.New(rand.NewSource(2)))
 	b.Lambda = []float64{1, 2, 3}
-	if err := b.SaveAtomic(dir); err != nil {
+	if err := SaveCheckpointAtomic(dir, Checkpoint{Factors: b}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Load(dir)

@@ -204,7 +204,7 @@ func TestChaosCancelDuringBackoffWins(t *testing.T) {
 }
 
 // TestChaosCheckpointFailureSurfacesOnJobView is the satellite-5 end of the
-// CheckpointErr propagation path: an injected SaveAtomic failure inside the
+// CheckpointErr propagation path: an injected checkpoint-save failure inside the
 // solver must reach the job's API view while the job itself still succeeds.
 func TestChaosCheckpointFailureSurfacesOnJobView(t *testing.T) {
 	inj := faults.New()

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,9 +9,10 @@ import (
 )
 
 // FuzzJournalReplay hardens crash recovery's first step: whatever bytes a
-// crash (or an attacker with disk access) leaves in journal.jsonl, replay
+// crash (or an attacker with disk access) leaves in journal.jsonl, opening it
 // must return a well-formed view list — never panic, never a view without a
-// job id, never the same job twice.
+// job id, never the same job twice — and reopening the compacted journal
+// must return the same views without a warning.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(`{"v":1,"job":{"id":"j000001","status":"queued","spec":{"dataset":"amazon","rank":4}}}` + "\n"))
 	f.Add([]byte(`{"v":1,"job":{"id":"j000001","status":"queued"}}` + "\n" +
@@ -22,7 +22,23 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(`{"v":99,"job":{"id":"future","status":"hovering"}}` + "\n"))
 	f.Add([]byte{0xff, 0xfe, 0x00, '\n'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		views, _ := replayJournal(bytes.NewReader(data))
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jnl, views, _, err := OpenJournal(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jnl.Close()
+		jnl, again, warns, err := OpenJournal(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jnl.Close()
+		if len(warns) != 0 || len(again) != len(views) {
+			t.Fatalf("reopening the compacted journal: %d views (want %d), warnings %v", len(again), len(views), warns)
+		}
 		seen := make(map[string]bool, len(views))
 		for _, v := range views {
 			if v.ID == "" {

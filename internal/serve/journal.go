@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
+	"aoadmm/internal/durable"
 	"aoadmm/internal/faults"
 )
 
@@ -28,12 +27,12 @@ const journalVersion = 1
 // every state transition (submitted, running, retry-queued, terminal) is
 // appended and fsync'd before the transition takes effect, so a daemon
 // killed at any instant can reconstruct every job — and its latest durable
-// state — on restart. The file is compacted on open (one spec-bearing record
-// per job), and a torn final line from a crash mid-append is dropped
-// silently on replay.
+// state — on restart. The file is a durable.Log: compacted on open (one
+// record per job), torn tails dropped silently, interior corruption skipped
+// with a warning, and a failed append rolled back so it never replays.
 type Journal struct {
 	mu      sync.Mutex
-	f       *os.File
+	log     *durable.Log
 	path    string
 	faults  *faults.Injector
 	appends int64
@@ -44,134 +43,70 @@ type Journal struct {
 // and opens it for appending. It returns the recovered job views in
 // first-submission order plus warnings for undecodable interior lines.
 func OpenJournal(path string, inj *faults.Injector) (*Journal, []JobView, []error, error) {
-	var views []JobView
-	var warns []error
-	if raw, err := os.ReadFile(path); err == nil {
-		views, warns = replayJournal(bytes.NewReader(raw))
-	} else if !os.IsNotExist(err) {
-		return nil, nil, nil, fmt.Errorf("journal: %w", err)
-	}
-
-	// Compact: rewrite the surviving state (latest view per job) through a
-	// temp file swapped into place, then append from there.
-	tmp := path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, v := range views {
-		if err := writeJournalLine(w, v); err != nil {
-			f.Close()
-			return nil, nil, nil, fmt.Errorf("journal: compact: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, nil, nil, fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return nil, nil, nil, fmt.Errorf("journal: compact: %w", err)
-	}
-
-	af, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	return &Journal{f: af, path: path, faults: inj}, views, warns, nil
-}
-
-func writeJournalLine(w io.Writer, v JobView) error {
-	raw, err := json.Marshal(journalLine{V: journalVersion, Job: v})
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	_, err = w.Write(raw)
-	return err
-}
-
-// replayJournal decodes a journal stream: the latest view per job wins, jobs
-// come back in first-appearance order, and records that fail to decode are
-// skipped — a torn final line (the signature of a crash mid-append)
-// silently, interior corruption with a warning. It never fails outright: the
-// journal is the recovery path and must degrade, not abort.
-func replayJournal(r io.Reader) ([]JobView, []error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
 	latest := make(map[string]int)
-	var order []JobView
-	var warns []error
-	line := 0
-	var pendingWarn error
-	for sc.Scan() {
-		line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		// A bad line is only reported once a later good line proves it was
-		// interior corruption rather than a torn tail.
-		if pendingWarn != nil {
-			warns = append(warns, pendingWarn)
-			pendingWarn = nil
-		}
-		var rec journalLine
-		if err := json.Unmarshal(text, &rec); err != nil {
-			pendingWarn = fmt.Errorf("journal line %d: %v", line, err)
-			continue
-		}
-		if rec.Job.ID == "" {
-			pendingWarn = fmt.Errorf("journal line %d: record without job id", line)
-			continue
-		}
-		if i, ok := latest[rec.Job.ID]; ok {
-			order[i] = rec.Job
+	var views []JobView
+	log, warns, err := durable.OpenLog(path, decodeJournalLine, func(v JobView) error {
+		if i, ok := latest[v.ID]; ok {
+			views[i] = v
 		} else {
-			latest[rec.Job.ID] = len(order)
-			order = append(order, rec.Job)
+			latest[v.ID] = len(views)
+			views = append(views, v)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		warns = append(warns, fmt.Errorf("journal: %v", err))
+	// Compact: rewrite the surviving state, the latest view per job.
+	if err := log.Rewrite(func(w io.Writer) error {
+		for _, v := range views {
+			raw, err := json.Marshal(journalLine{V: journalVersion, Job: v})
+			if err == nil {
+				_, err = w.Write(append(raw, '\n'))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		return nil, nil, nil, fmt.Errorf("journal: compact: %w", err)
 	}
-	return order, warns
+	return &Journal{log: log, path: path, faults: inj}, views, warns, nil
+}
+
+func decodeJournalLine(line []byte) (JobView, error) {
+	var rec journalLine
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return JobView{}, err
+	}
+	if rec.Job.ID == "" {
+		return JobView{}, errors.New("record without job id")
+	}
+	return rec.Job, nil
 }
 
 // Append journals one job view: marshal, write, fsync. The transition is
-// durable once Append returns nil. Append is the JournalAppend/JournalSync
-// fault point.
+// durable once Append returns nil; a failed append leaves nothing behind.
+// Append is the JournalAppend/JournalSync fault point.
 func (j *Journal) Append(v JobView) error {
 	if j == nil {
 		return nil
 	}
-	if err := j.faults.Fire(faults.JournalAppend); err != nil {
-		j.mu.Lock()
-		j.fails++
-		j.mu.Unlock()
-		return fmt.Errorf("journal: %w", err)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if err := j.faults.Fire(faults.JournalAppend); err != nil {
+		j.fails++
+		return fmt.Errorf("journal: %w", err)
+	}
+	if j.log == nil {
 		return fmt.Errorf("journal: closed")
 	}
-	if err := writeJournalLine(j.f, v); err != nil {
-		j.fails++
-		return fmt.Errorf("journal: %w", err)
+	raw, err := json.Marshal(journalLine{V: journalVersion, Job: v})
+	if err == nil {
+		err = j.log.Append(raw, func() error { return j.faults.Fire(faults.JournalSync) })
 	}
-	if err := j.faults.Fire(faults.JournalSync); err != nil {
-		j.fails++
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
+	if err != nil {
 		j.fails++
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -186,11 +121,11 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	err := j.f.Close()
-	j.f = nil
+	err := j.log.Close()
+	j.log = nil
 	return err
 }
 

@@ -139,12 +139,39 @@ func TestJournalAppendFaults(t *testing.T) {
 		t.Fatalf("stats appends=%d fails=%d", appends, fails)
 	}
 
-	// The failed fsync's bytes may or may not be on disk; either way replay
-	// must surface the job's queued record exactly once.
+	// A failed append is truncated away, so the file holds exactly the one
+	// acknowledged record and replay surfaces it alone.
 	jnl.Close()
-	_, views, _ := openTestJournal(t, path, nil)
-	if len(views) != 1 || views[0].ID != "j000001" {
-		t.Fatalf("recovered %+v", views)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(raw), "\n"); lines != 1 {
+		t.Fatalf("journal holds %d lines after two failed appends:\n%s", lines, raw)
+	}
+	_, views, warns := openTestJournal(t, path, nil)
+	if len(warns) != 0 || len(views) != 1 || views[0].ID != "j000001" || views[0].Status != "queued" {
+		t.Fatalf("recovered %+v, warnings %v", views, warns)
+	}
+}
+
+// A record whose fsync failed was rejected, so it must never replay — not
+// even once a later append has succeeded after it.
+func TestJournalRejectedRecordNeverReplays(t *testing.T) {
+	inj := faults.New()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	jnl, _, _ := openTestJournal(t, path, inj)
+	inj.Arm(faults.JournalSync, 0, 1, errors.New("fsync eio"))
+	if err := jnl.Append(JobView{ID: "j000001", Status: "queued"}); err == nil {
+		t.Fatal("append survived injected fsync failure")
+	}
+	if err := jnl.Append(JobView{ID: "j000002", Status: "queued"}); err != nil {
+		t.Fatal(err)
+	}
+	jnl.Close()
+	_, views, warns := openTestJournal(t, path, nil)
+	if len(warns) != 0 || len(views) != 1 || views[0].ID != "j000002" {
+		t.Fatalf("recovered %+v, warnings %v", views, warns)
 	}
 }
 

@@ -10,6 +10,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"aoadmm/internal/dense"
+	"aoadmm/internal/durable"
 	"aoadmm/internal/kruskal"
 	"aoadmm/internal/sparse"
 	"aoadmm/internal/stats"
@@ -139,9 +141,11 @@ func (m *Model) buildQueryStructures() {
 
 // Registry is the concurrent-safe model store. Models live under
 // <dir>/<id>/ as factors/ (kruskal.Save layout), meta.json, and optionally
-// metrics.json; directories are written to a temp sibling and renamed into
-// place, so a crash mid-registration never leaves a half-written model for
-// the next startup to trip over.
+// metrics.json. Every write goes through internal/durable: a model directory
+// is staged and renamed into place (ReplaceDir), meta.json is replaced
+// whole (ReplaceFile), and a deleted version is renamed to trash before it is
+// removed (RemoveDir), so a crash never leaves a half-written or
+// half-deleted model for the next startup to trip over.
 type Registry struct {
 	mu     sync.RWMutex
 	dir    string
@@ -151,12 +155,16 @@ type Registry struct {
 	seq    int
 }
 
-// OpenRegistry loads every model directory under dir (created if missing).
-// Corrupt or unreadable model directories are skipped and reported as
-// warnings rather than failing startup — the registry loads untrusted dirs
-// and must degrade gracefully.
+// OpenRegistry loads every model directory under dir (created if missing),
+// after removing what crashed writes and deletions left behind. Corrupt or
+// unreadable model directories are skipped and reported as warnings rather
+// than failing startup — the registry loads untrusted dirs and must degrade
+// gracefully.
 func OpenRegistry(dir string) (*Registry, []error, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, err
+	}
+	if err := durable.Sweep(dir); err != nil {
 		return nil, nil, err
 	}
 	r := &Registry{dir: dir, models: make(map[string]*Model), heads: make(map[string]string)}
@@ -167,7 +175,14 @@ func OpenRegistry(dir string) (*Registry, []error, error) {
 	var warnings []error
 	for _, e := range entries {
 		name := e.Name()
-		if !e.IsDir() || strings.HasPrefix(name, ".") || strings.HasSuffix(name, ".old") {
+		if !e.IsDir() || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if strings.HasSuffix(name, ".old") {
+			// A deleted version older registries' GC leaked by crashing
+			// mid-delete. Model dirs are never replaced, so it is never a
+			// swap to recover.
+			os.RemoveAll(filepath.Join(dir, name))
 			continue
 		}
 		// Advance the id sequence past every model-shaped directory name,
@@ -305,25 +320,20 @@ func (r *Registry) RegisterModel(meta ModelMeta, k *kruskal.Tensor, duals []*den
 	meta.CreatedUnixNano = time.Now().UnixNano()
 	normalizeLineage(&meta)
 
-	final := filepath.Join(r.dir, meta.ID)
-	tmp, err := os.MkdirTemp(r.dir, ".reg-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
-	ck := kruskal.Checkpoint{Factors: k, Duals: duals}
-	if err := ck.Write(filepath.Join(tmp, "factors")); err != nil {
-		return nil, err
-	}
-	if err := writeJSONFile(filepath.Join(tmp, "meta.json"), meta); err != nil {
-		return nil, err
-	}
-	if report != nil {
-		if err := writeJSONFile(filepath.Join(tmp, "metrics.json"), report); err != nil {
-			return nil, err
+	err := durable.ReplaceDir(filepath.Join(r.dir, meta.ID), func(tmp string) error {
+		ck := kruskal.Checkpoint{Factors: k, Duals: duals}
+		if err := ck.Write(filepath.Join(tmp, "factors")); err != nil {
+			return err
 		}
-	}
-	if err := os.Rename(tmp, final); err != nil {
+		if err := writeJSONFile(filepath.Join(tmp, "meta.json"), meta); err != nil {
+			return err
+		}
+		if report != nil {
+			return writeJSONFile(filepath.Join(tmp, "metrics.json"), report)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -484,13 +494,9 @@ func (r *Registry) SetPinned(id string, pinned bool) (*Model, error) {
 	}
 	next := *m
 	next.Meta.Pinned = pinned
-	tmp := filepath.Join(r.dir, id, ".meta.json.tmp")
-	if err := writeJSONFile(tmp, next.Meta); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, filepath.Join(r.dir, id, "meta.json")); err != nil {
-		os.Remove(tmp)
+	if err := durable.ReplaceFile(filepath.Join(r.dir, id, "meta.json"), func(w io.Writer) error {
+		return encodeJSON(w, next.Meta)
+	}); err != nil {
 		return nil, err
 	}
 	r.models[id] = &next
@@ -536,15 +542,9 @@ func (r *Registry) GCVersions(id string, keep int) []string {
 
 // removeLocked deletes one model from disk and memory. Caller holds r.mu.
 func (r *Registry) removeLocked(id string) error {
-	dir := filepath.Join(r.dir, id)
-	// Rename-then-remove so a crash mid-delete leaves a ".old" suffix the
-	// startup scan already skips, never a half-deleted live model dir.
-	trash := dir + ".old"
-	os.RemoveAll(trash)
-	if err := os.Rename(dir, trash); err != nil && !os.IsNotExist(err) {
+	if err := durable.RemoveDir(filepath.Join(r.dir, id)); err != nil {
 		return err
 	}
-	os.RemoveAll(trash)
 	delete(r.models, id)
 	for i, mid := range r.ids {
 		if mid == id {
@@ -560,11 +560,15 @@ func writeJSONFile(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := encodeJSON(f, v); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+func encodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

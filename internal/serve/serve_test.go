@@ -338,6 +338,56 @@ func TestRegistrySkipsCorruptModelDirs(t *testing.T) {
 	}
 }
 
+// A crash mid-delete or mid-registration leaves a model directory under a
+// trash or staging name; OpenRegistry must remove it, not load it.
+func TestRegistrySweepsCrashLeftovers(t *testing.T) {
+	modelsDir := filepath.Join(t.TempDir(), "models")
+	reg, _, err := OpenRegistry(modelsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kruskal.New([]int{4, 5}, 2)
+	for _, f := range k.Factors {
+		f.Fill(0.5)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := reg.Register(ModelMeta{Algo: "aoadmm"}, k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Whole, loadable model dirs under the names an interrupted RemoveDir,
+	// an older registry's delete, and an interrupted ReplaceDir leave.
+	for from, to := range map[string]string{
+		"m000002": ".m000002.trash",
+		"m000003": "m000003.old",
+		"m000004": ".m000004.new",
+	} {
+		if err := os.Rename(filepath.Join(modelsDir, from), filepath.Join(modelsDir, to)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reg, warns, err := OpenRegistry(modelsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warns) != 0 {
+		t.Fatalf("warnings %v", warns)
+	}
+	if ids := reg.List(); len(ids) != 1 || ids[0].ID != "m000001" {
+		t.Fatalf("loaded %+v", ids)
+	}
+	entries, err := os.ReadDir(modelsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "m000001" {
+		for _, e := range entries {
+			t.Errorf("left on disk: %s", e.Name())
+		}
+	}
+}
+
 func TestQueueFullReturns503(t *testing.T) {
 	dataDir := t.TempDir()
 	s, err := New(Config{DataDir: dataDir, Workers: 1, QueueCap: 1, RequestTimeout: 30 * time.Second})

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"aoadmm/internal/durable"
 )
 
 // Info is a read-only summary of a lineage directory, for inspection tools
@@ -54,13 +56,13 @@ func ReadInfo(dir string) (*Info, error) {
 	if fi, err := os.Stat(jpath); err == nil {
 		info.JournalBytes = fi.Size()
 	}
-	res, err := replayJournal(jpath, st.AppliedSeq)
-	if err != nil {
+	p := &pendingCounts{appliedSeq: st.AppliedSeq, maxSeq: st.AppliedSeq}
+	if _, err := durable.Replay(jpath, decodeBatch, p.add); err != nil {
 		return nil, err
 	}
-	info.LatestSeq = res.maxSeq
-	info.PendingBatches = res.pendingBatches
-	info.PendingNNZ = res.pendingNNZ
+	info.LatestSeq = p.maxSeq
+	info.PendingBatches = p.pendingBatches
+	info.PendingNNZ = p.pendingNNZ
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err

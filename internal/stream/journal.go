@@ -1,12 +1,12 @@
 package stream
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
+
+	"aoadmm/internal/durable"
 )
 
 // batchLine is one journaled append: a full batch per JSONL line, so replay
@@ -39,161 +39,36 @@ func (b *batchLine) check() error {
 	return nil
 }
 
-// journalScanBudget sizes the line scanner: one line holds one batch, so the
-// cap bounds the largest replayable batch (a 1<<20-nnz batch is ~25 MB of
-// JSON for a 3-mode tensor).
-const (
-	journalScanInit = 1 << 20
-	journalScanMax  = 64 << 20
-)
-
-func newJournalScanner(f *os.File) *bufio.Scanner {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, journalScanInit), journalScanMax)
-	return sc
+func decodeBatch(raw []byte) (batchLine, error) {
+	var line batchLine
+	if err := json.Unmarshal(raw, &line); err != nil {
+		return line, err
+	}
+	return line, line.check()
 }
 
-// replayResult summarizes a journal walk.
-type replayResult struct {
+// pendingCounts tallies a journal replay against the lineage's applied seq.
+type pendingCounts struct {
+	appliedSeq        int64
 	maxSeq            int64
 	pendingBatches    int
 	pendingNNZ        int64
 	oldestPendingNano int64
-	stale             int  // lines with seq <= appliedSeq (compaction due)
-	torn              bool // unparseable tail dropped
+	stale             int // batches with seq <= appliedSeq (compaction due)
 }
 
-// replayJournal walks the delta journal counting batches newer than
-// appliedSeq. Mirroring the job journal's contract, an unparseable or
-// truncated final line is the torn tail of a crashed append and is dropped
-// silently by the following compaction; corruption before the tail is
-// reported the same way (the journal is append-only, so everything after a
-// torn line is unreachable anyway).
-func replayJournal(path string, appliedSeq int64) (*replayResult, error) {
-	res := &replayResult{maxSeq: appliedSeq}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return res, nil
-		}
-		return nil, err
+func (p *pendingCounts) add(line batchLine) error {
+	if line.Seq > p.maxSeq {
+		p.maxSeq = line.Seq
 	}
-	defer f.Close()
-	sc := newJournalScanner(f)
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var line batchLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			res.torn = true
-			break
-		}
-		if err := line.check(); err != nil {
-			res.torn = true
-			break
-		}
-		if line.Seq > res.maxSeq {
-			res.maxSeq = line.Seq
-		}
-		if line.Seq <= appliedSeq {
-			res.stale++
-			continue
-		}
-		res.pendingBatches++
-		res.pendingNNZ += int64(len(line.Vals))
-		if res.oldestPendingNano == 0 || line.UnixNano < res.oldestPendingNano {
-			res.oldestPendingNano = line.UnixNano
-		}
+	if line.Seq <= p.appliedSeq {
+		p.stale++
+		return nil
 	}
-	if err := sc.Err(); err != nil {
-		// An overlong or unreadable tail: treat like a torn line.
-		res.torn = true
-	}
-	return res, nil
-}
-
-// compactJournal rewrites the journal keeping only batches newer than
-// appliedSeq, fsyncs the replacement, and renames it into place.
-func compactJournal(path string, appliedSeq int64) error {
-	src, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer src.Close()
-	tmp := path + ".compact"
-	dst, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(dst, 1<<20)
-	sc := newJournalScanner(src)
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var line batchLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			break // torn tail: drop
-		}
-		if err := line.check(); err != nil {
-			break
-		}
-		if line.Seq <= appliedSeq {
-			continue
-		}
-		if _, err := bw.Write(raw); err != nil {
-			dst.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			dst.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		dst.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := dst.Sync(); err != nil {
-		dst.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := dst.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// appendBatchLine writes and fsyncs one batch. On a write error the file is
-// truncated back to its pre-write length so the journal never carries an
-// interior torn line into subsequent appends.
-func appendBatchLine(f *os.File, line batchLine) error {
-	raw, err := json.Marshal(line)
-	if err != nil {
-		return err
-	}
-	off, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(raw, '\n')); err != nil {
-		_ = f.Truncate(off)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Truncate(off)
-		return err
+	p.pendingBatches++
+	p.pendingNNZ += int64(len(line.Vals))
+	if p.oldestPendingNano == 0 || line.UnixNano < p.oldestPendingNano {
+		p.oldestPendingNano = line.UnixNano
 	}
 	return nil
 }
@@ -201,59 +76,57 @@ func appendBatchLine(f *os.File, line batchLine) error {
 // visitPending streams the journal's batches with seq in (afterSeq, upToSeq]
 // through fn, one decoded batch at a time.
 func visitPending(path string, afterSeq, upToSeq int64, fn func(batchLine) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
+	_, err := durable.Replay(path, decodeBatch, func(line batchLine) error {
+		if line.Seq <= afterSeq || line.Seq > upToSeq {
 			return nil
 		}
-		return err
-	}
-	defer f.Close()
-	sc := newJournalScanner(f)
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var line batchLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			break // torn tail (necessarily newer than upToSeq at call sites)
-		}
-		if err := line.check(); err != nil {
-			break
-		}
-		if line.Seq <= afterSeq || line.Seq > upToSeq {
-			continue
-		}
-		if err := fn(line); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(line)
+	})
+	return err
 }
 
-// openJournal replays, compacts, and opens the lineage's journal for append,
-// restoring the in-memory counters. Called with no locks held (lineage not
-// yet published) and by Commit under l.mu.
-func (l *Lineage) openJournal() error {
+// openJournal replays the lineage's delta journal, restores the in-memory
+// counters, and opens the journal for append. A journal holding applied
+// batches or corrupt lines is compacted down to its pending batches, each
+// line copied byte for byte. Called with no locks held (lineage not yet
+// published) and by Commit under l.mu. It returns the replay's warnings.
+func (l *Lineage) openJournal() ([]error, error) {
 	path := filepath.Join(l.dir, JournalFileName)
-	res, err := replayJournal(path, l.st.AppliedSeq)
+	applied := l.st.AppliedSeq
+	p := &pendingCounts{appliedSeq: applied, maxSeq: applied}
+	log, warns, err := durable.OpenLog(path, decodeBatch, p.add)
 	if err != nil {
-		return err
+		return warns, err
 	}
-	if res.stale > 0 || res.torn {
-		if err := compactJournal(path, l.st.AppliedSeq); err != nil {
+	if p.stale > 0 || len(warns) > 0 {
+		pendingRaw := func(raw []byte) ([]byte, error) {
+			line, err := decodeBatch(raw)
+			if err != nil || line.Seq <= applied {
+				return nil, err
+			}
+			return raw, nil
+		}
+		err := log.Rewrite(func(w io.Writer) error {
+			_, err := durable.Replay(path, pendingRaw, func(raw []byte) error {
+				if raw == nil {
+					return nil
+				}
+				if _, err := w.Write(raw); err != nil {
+					return err
+				}
+				_, err := w.Write([]byte{'\n'})
+				return err
+			})
 			return err
+		})
+		if err != nil {
+			return warns, err
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	l.jf = f
-	l.nextSeq = res.maxSeq + 1
-	l.pendingBatches = res.pendingBatches
-	l.pendingNNZ = res.pendingNNZ
-	l.oldestPendingNano = res.oldestPendingNano
-	return nil
+	l.log = log
+	l.nextSeq = p.maxSeq + 1
+	l.pendingBatches = p.pendingBatches
+	l.pendingNNZ = p.pendingNNZ
+	l.oldestPendingNano = p.oldestPendingNano
+	return warns, nil
 }

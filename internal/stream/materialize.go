@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"aoadmm/internal/durable"
 	"aoadmm/internal/faults"
 	"aoadmm/internal/ooc"
 	"aoadmm/internal/tensor"
@@ -86,8 +87,9 @@ type MaterializeResult struct {
 // where S is the newest appended seq. The base Source must be the lineage's
 // current base (Snapshot().BaseGenDir when set, the original training source
 // otherwise). Materialization is idempotent: a generation that already
-// exists on disk (a crashed refit's output) is reopened, not rebuilt, and a
-// crash mid-build leaves only a .build temp the next call clears.
+// exists on disk (a crashed refit's output) is reopened, not rebuilt. The
+// generation is built in a durable.ReplaceDir staging directory, so a crash
+// mid-build never leaves a partial gen-<seq>.shards.
 func (s *Store) Materialize(root string, base Source) (*MaterializeResult, error) {
 	l, ok := s.Get(root)
 	if !ok {
@@ -123,67 +125,57 @@ func (s *Store) Materialize(root string, base Source) (*MaterializeResult, error
 			return res, nil
 		}
 		// Unopenable generation dir (torn by a crash mid-rename is not
-		// possible, but a partial copy is): rebuild from scratch.
-		if err := os.RemoveAll(res.Dir); err != nil {
-			return nil, err
-		}
+		// possible, but a partial copy is): ReplaceDir rebuilds it.
 	}
 
-	build := res.Dir + ".build"
-	if err := os.RemoveAll(build); err != nil {
-		return nil, err
-	}
-	cv, err := ooc.NewConverter(snap.Dims, build, ooc.ConvertOptions{
-		MemBudgetBytes: s.cfg.MemBudgetBytes,
-		TmpDir:         build + ".tmp",
-		Coalesce:       true,
+	err := durable.ReplaceDir(res.Dir, func(build string) error {
+		cv, err := ooc.NewConverter(snap.Dims, build, ooc.ConvertOptions{
+			MemBudgetBytes: s.cfg.MemBudgetBytes,
+			TmpDir:         res.Dir + ".tmp",
+			Coalesce:       true,
+		})
+		if err != nil {
+			return err
+		}
+		fail := func(err error) error {
+			cv.Abort()
+			return err
+		}
+		if err := base.Stream(func(coord []int32, val float64) error {
+			return cv.Add(coord, val*baseScale)
+		}); err != nil {
+			return fail(fmt.Errorf("stream: base tensor: %w", err))
+		}
+		err = visitPending(journalPath, snap.AppliedSeq, upTo, func(line batchLine) error {
+			if len(line.Inds) != len(snap.Dims) {
+				return fmt.Errorf("stream: batch %d has order %d, lineage has %d", line.Seq, len(line.Inds), len(snap.Dims))
+			}
+			scale := math.Pow(snap.Decay, float64(upTo-line.Seq))
+			coord := make([]int32, len(snap.Dims))
+			for p := range line.Vals {
+				for m := range coord {
+					coord[m] = line.Inds[m][p]
+				}
+				if err := cv.Add(coord, line.Vals[p]*scale); err != nil {
+					return err
+				}
+			}
+			return count(line)
+		})
+		if err != nil {
+			return fail(err)
+		}
+		if res.Batches == 0 {
+			// The journal lost the pending batches the counters promised —
+			// refuse to quietly refit on the stale base alone.
+			return fail(fmt.Errorf("stream: journal has no batches in (%d, %d]", snap.AppliedSeq, upTo))
+		}
+		if _, err := cv.Finish(); err != nil {
+			return fail(err)
+		}
+		return s.cfg.Faults.Fire(faults.StreamMaterialize)
 	})
 	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (*MaterializeResult, error) {
-		cv.Abort()
-		os.RemoveAll(build)
-		return nil, err
-	}
-	if err := base.Stream(func(coord []int32, val float64) error {
-		return cv.Add(coord, val*baseScale)
-	}); err != nil {
-		return fail(fmt.Errorf("stream: base tensor: %w", err))
-	}
-	err = visitPending(journalPath, snap.AppliedSeq, upTo, func(line batchLine) error {
-		if len(line.Inds) != len(snap.Dims) {
-			return fmt.Errorf("stream: batch %d has order %d, lineage has %d", line.Seq, len(line.Inds), len(snap.Dims))
-		}
-		scale := math.Pow(snap.Decay, float64(upTo-line.Seq))
-		coord := make([]int32, len(snap.Dims))
-		for p := range line.Vals {
-			for m := range coord {
-				coord[m] = line.Inds[m][p]
-			}
-			if err := cv.Add(coord, line.Vals[p]*scale); err != nil {
-				return err
-			}
-		}
-		return count(line)
-	})
-	if err != nil {
-		return fail(err)
-	}
-	if res.Batches == 0 {
-		// The journal lost the pending batches the counters promised —
-		// refuse to quietly refit on the stale base alone.
-		return fail(fmt.Errorf("stream: journal has no batches in (%d, %d]", snap.AppliedSeq, upTo))
-	}
-	if _, err := cv.Finish(); err != nil {
-		return fail(err)
-	}
-	if err := s.cfg.Faults.Fire(faults.StreamMaterialize); err != nil {
-		os.RemoveAll(build)
-		return nil, err
-	}
-	if err := os.Rename(build, res.Dir); err != nil {
-		os.RemoveAll(build)
 		return nil, err
 	}
 	t, err := ooc.Open(res.Dir)
@@ -226,12 +218,15 @@ func (s *Store) Commit(root string, asOf int64) (bool, error) {
 	l.st = next
 	// Swap the journal handle across compaction so concurrent appends never
 	// write to the unlinked pre-compaction file.
-	if l.jf != nil {
-		l.jf.Close()
-		l.jf = nil
+	if l.log != nil {
+		l.log.Close()
+		l.log = nil
 	}
-	err := l.openJournal()
+	warns, err := l.openJournal()
 	l.mu.Unlock()
+	for _, w := range warns {
+		s.cfg.Logger.Warn("stream: journal replay", "lineage", root, "err", w)
+	}
 	if err != nil {
 		return true, err
 	}
@@ -240,8 +235,12 @@ func (s *Store) Commit(root string, asOf int64) (bool, error) {
 }
 
 // gcGenerations removes every materialized generation except the one the
-// lineage now bases on, plus stray .build/.tmp leftovers.
+// lineage now bases on, plus what a crashed build left: spill (.tmp) and
+// staging directories.
 func (s *Store) gcGenerations(l *Lineage, keep int64) {
+	if err := durable.Sweep(l.dir); err != nil {
+		s.cfg.Logger.Warn("stream: staging sweep failed", "lineage", l.Root(), "err", err)
+	}
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aoadmm/internal/durable"
 	"aoadmm/internal/faults"
 )
 
@@ -143,7 +144,7 @@ type Lineage struct {
 	mu  sync.Mutex // counters, state, journal handle
 	dir string
 	st  State
-	jf  *os.File
+	log *durable.Log
 
 	nextSeq           int64
 	pendingBatches    int
@@ -223,7 +224,10 @@ func Open(cfg Config) (*Store, []error, error) {
 		if !IsStreamDir(dir) {
 			continue
 		}
-		l, err := openLineage(dir, name)
+		l, warns, err := openLineage(dir, name)
+		for _, w := range warns {
+			warnings = append(warnings, fmt.Errorf("lineage %s: %w", name, w))
+		}
 		if err != nil {
 			warnings = append(warnings, fmt.Errorf("lineage %s: %w", name, err))
 			continue
@@ -246,11 +250,11 @@ func (s *Store) Close() error {
 	var first error
 	for _, l := range s.lineages {
 		l.mu.Lock()
-		if l.jf != nil {
-			if err := l.jf.Close(); err != nil && first == nil {
+		if l.log != nil {
+			if err := l.log.Close(); err != nil && first == nil {
 				first = err
 			}
-			l.jf = nil
+			l.log = nil
 		}
 		l.mu.Unlock()
 	}
@@ -296,7 +300,7 @@ func (s *Store) Ensure(root string, dims []int, decay float64, sourceSpec json.R
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	l, err := openLineage(dir, root)
+	l, _, err := openLineage(dir, root)
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, err
@@ -350,13 +354,17 @@ func (s *Store) Append(root string, inds [][]int32, vals []float64) (*AppendResu
 	}
 
 	l.mu.Lock()
-	if l.jf == nil {
+	if l.log == nil {
 		l.mu.Unlock()
 		return nil, fmt.Errorf("stream: lineage %s is closed", root)
 	}
 	now := time.Now().UnixNano()
 	line := batchLine{V: 1, Seq: l.nextSeq, UnixNano: now, Inds: inds, Vals: vals}
-	if err := appendBatchLine(l.jf, line); err != nil {
+	raw, err := json.Marshal(line)
+	if err == nil {
+		err = l.log.Append(raw, nil)
+	}
+	if err != nil {
 		l.mu.Unlock()
 		return nil, err
 	}
@@ -496,20 +504,21 @@ func (s *Store) stalenessLoop() {
 }
 
 // openLineage loads state, replays + compacts the journal, and opens the
-// append handle.
-func openLineage(dir, root string) (*Lineage, error) {
+// append handle. It returns the journal replay's warnings.
+func openLineage(dir, root string) (*Lineage, []error, error) {
 	st, err := readStateFile(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if st.Root != root {
-		return nil, fmt.Errorf("state root %q in directory %q", st.Root, root)
+		return nil, nil, fmt.Errorf("state root %q in directory %q", st.Root, root)
 	}
 	l := &Lineage{dir: dir, st: *st}
-	if err := l.openJournal(); err != nil {
-		return nil, err
+	warns, err := l.openJournal()
+	if err != nil {
+		return nil, warns, err
 	}
-	return l, nil
+	return l, warns, nil
 }
 
 // Root returns the lineage's root model id.
@@ -580,32 +589,16 @@ func validateBatch(dims []int, inds [][]int32, vals []float64, maxNNZ int) error
 	return nil
 }
 
-// writeStateFile atomically swaps stream.json.
+// writeStateFile durably replaces stream.json.
 func writeStateFile(dir string, st State) error {
 	raw, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, ".stream.json.tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
+	return durable.ReplaceFile(filepath.Join(dir, StateFileName), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
 		return err
-	}
-	if _, err := f.Write(append(raw, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, StateFileName))
+	})
 }
 
 func readStateFile(dir string) (*State, error) {

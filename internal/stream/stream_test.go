@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -205,6 +206,81 @@ func TestTornJournalTailDropped(t *testing.T) {
 	snap, _ = s2.Snapshot("m1")
 	if snap.LatestSeq != 2 || snap.PendingBatches != 2 {
 		t.Fatalf("append after torn-tail recovery: %+v", snap)
+	}
+}
+
+// A corrupt interior journal line is skipped with a warning; the durable
+// batches after it stay pending and are materialized. A corrupt final line
+// is still a torn tail, dropped without a warning.
+func TestJournalInteriorCorruptionKeepsLaterBatches(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, Config{Dir: dir})
+	if _, err := s.Ensure("m1", []int{4, 3, 2}, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range [][3]int32{{1, 0, 0}, {2, 0, 0}, {3, 0, 0}} {
+		inds, vals := batch3([][3]int32{c}, []float64{float64(i + 1)})
+		if _, err := s.Append("m1", inds, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	// Overwrite batch 2's line in place with garbage of the same length.
+	jpath := filepath.Join(dir, "m1", JournalFileName)
+	raw, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	lines[1] = append(bytes.Repeat([]byte("#"), len(lines[1])-1), '\n')
+	if err := os.WriteFile(jpath, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, warns, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s2.Close() })
+	if len(warns) != 1 {
+		t.Fatalf("interior corruption warnings: %v", warns)
+	}
+	snap, err := s2.Snapshot("m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.LatestSeq != 3 || snap.PendingBatches != 2 || snap.PendingNNZ != 2 {
+		t.Fatalf("batches after the corrupt line lost: %+v", snap)
+	}
+	mat, err := s2.Materialize("m1", COOSource{T: tensor.NewCOO([]int{4, 3, 2}, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cooOf(t, mat.Tensor)
+	if mat.Batches != 2 || len(got) != 2 || got[[3]int32{1, 0, 0}] == 0 || got[[3]int32{3, 0, 0}] == 0 {
+		t.Fatalf("materialized %d batches: %v", mat.Batches, got)
+	}
+	s2.Close()
+
+	// Open compacted the corrupt line away; a corrupt final line is a torn
+	// tail and reopens without a warning.
+	f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString("not a batch\n")
+	f.Close()
+	s3, warns, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s3.Close() })
+	if len(warns) != 0 {
+		t.Fatalf("torn tail reported as corruption: %v", warns)
+	}
+	if snap, _ := s3.Snapshot("m1"); snap.LatestSeq != 3 || snap.PendingBatches != 2 {
+		t.Fatalf("after torn tail: %+v", snap)
 	}
 }
 
