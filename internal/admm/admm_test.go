@@ -478,3 +478,30 @@ func TestRunCollectTiming(t *testing.T) {
 		t.Fatalf("baseline timing = %+v, want Cholesky and Prox > 0", st.Timing)
 	}
 }
+
+// With a reused Workspace, RunBlocked's allocations are per call (solver
+// state, the Cholesky factor, per-block stats), never per inner iteration:
+// a solve held to 40 iterations per block allocates no more than one held to
+// 2. Blocks of 50 and 30 rows take the lane solve, and the 7-row block the
+// per-row fallback.
+func TestRunBlockedAllocsDoNotGrowWithIterations(t *testing.T) {
+	h0, u0, k, g := problem(137, 12, 78)
+	for _, threads := range []int{1, 2} {
+		ws := &Workspace{}
+		allocs := func(iters int) float64 {
+			cfg := Config{Eps: 1e-300, MaxIters: iters, Threads: threads, Prox: prox.NonNegative{}}
+			h, u := h0.Clone(), u0.Clone()
+			return testing.AllocsPerRun(20, func() {
+				copy(h.Data, h0.Data)
+				copy(u.Data, u0.Data)
+				if _, err := RunBlocked(h, u, k, g, ws, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(2), allocs(40)
+		if long > short {
+			t.Errorf("threads=%d: %v allocations at 40 iterations per block, %v at 2", threads, long, short)
+		}
+	}
+}

@@ -7,7 +7,10 @@ import (
 // Gram computes Aᵀ·A for a tall-and-skinny A (I x F), returning an F x F
 // symmetric matrix. The reduction is parallelized over row blocks with
 // per-thread F x F accumulators (F is tiny, so the accumulators are cheap and
-// the combine step is negligible).
+// the combine step is negligible). Each row adds a_ip·a_i(p:) into the
+// accumulator's row p through AxpyRow, so every element still sums over i in
+// row order. Zero a_ip are skipped, which keeps an Inf or NaN elsewhere in
+// row i out of accumulator row p.
 func Gram(a *Matrix, nThreads int) *Matrix {
 	f := a.Cols
 	nThreads = par.Threads(nThreads)
@@ -21,10 +24,7 @@ func Gram(a *Matrix, nThreads int) *Matrix {
 				if rp == 0 {
 					continue
 				}
-				accRow := acc.Row(p)
-				for q := p; q < f; q++ {
-					accRow[q] += rp * row[q]
-				}
+				AxpyRow(acc.Row(p)[p:], rp, row[p:])
 			}
 		}
 		partials[tid] = acc

@@ -5,11 +5,89 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"aoadmm/internal/par"
 )
 
 // naiveGram computes AᵀA by definition.
 func naiveGram(a *Matrix) *Matrix {
 	return MatMul(a.Transpose(), a)
+}
+
+// gramLoop is Gram with its accumulation written as a scalar loop, the form
+// Gram had before it went through AxpyRow.
+func gramLoop(a *Matrix, nThreads int) *Matrix {
+	f := a.Cols
+	nThreads = par.Threads(nThreads)
+	partials := make([]*Matrix, nThreads)
+	par.Static(a.Rows, nThreads, func(tid, begin, end int) {
+		acc := New(f, f)
+		for i := begin; i < end; i++ {
+			row := a.Row(i)
+			for p := 0; p < f; p++ {
+				rp := row[p]
+				if rp == 0 {
+					continue
+				}
+				accRow := acc.Row(p)
+				for q := p; q < f; q++ {
+					accRow[q] += rp * row[q]
+				}
+			}
+		}
+		partials[tid] = acc
+	})
+	out := New(f, f)
+	for _, p := range partials {
+		if p == nil {
+			continue
+		}
+		for i := range out.Data {
+			out.Data[i] += p.Data[i]
+		}
+	}
+	for p := 0; p < f; p++ {
+		for q := p + 1; q < f; q++ {
+			out.Set(q, p, out.At(p, q))
+		}
+	}
+	return out
+}
+
+// Gram through AxpyRow must equal the scalar loop bit for bit, also where
+// zeros, infinities and NaNs meet: a zero a_ip skips row p, so an Inf
+// elsewhere in row i must not turn that row's sums into NaN.
+func TestGramBitwiseMatchesScalarLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for f := 1; f <= 70; f++ {
+		// One row in eight carries a NaN or an Inf, so most sums stay finite
+		// and the rest show how the specials spread.
+		a := New(2*f+7, f)
+		for i := 0; i < a.Rows; i++ {
+			row := a.Row(i)
+			for j := range row {
+				switch rng.Intn(10) {
+				case 0:
+					row[j] = 0
+				case 1:
+					row[j] = math.Copysign(0, -1)
+				default:
+					row[j] = rng.NormFloat64()
+				}
+			}
+			if rng.Intn(8) == 0 {
+				row[rng.Intn(f)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			}
+		}
+		for _, threads := range []int{1, 2} {
+			got, want := Gram(a, threads), gramLoop(a, threads)
+			for i := range want.Data {
+				if !sameRowBits(got.Data[i], want.Data[i]) {
+					t.Fatalf("F=%d threads=%d: element %d is %v, scalar loop gives %v", f, threads, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
 }
 
 func TestGramMatchesNaive(t *testing.T) {

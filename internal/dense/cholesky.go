@@ -111,12 +111,105 @@ func (c *Cholesky) SolveVec(b []float64) {
 // multi-right-hand-side solve at the heart of the ADMM primal update
 // (Algorithm 1, line 6), expressed over rows of the tall-and-skinny matrix so
 // that it is trivially row-separable and therefore blockable.
-func (c *Cholesky) SolveRows(b *Matrix) {
-	if b.Cols != c.n {
-		panic(fmt.Sprintf("dense: SolveRows width %d != %d", b.Cols, c.n))
+//
+// Rows are solved in panels of up to solvePanel rows. Each panel is
+// transposed into an N() x rows tile, so that every substitution step
+// sum -= L[i][k]·b[k] becomes one AxpyRow(t_i, −L[i][k], t_k) across the
+// panel: the vector lanes run across rows, each lane performs its row's
+// operations in SolveVec's order, and since a + (−l)·b rounds exactly as
+// a − l·b and every pivot is a true division, each row comes out bitwise
+// equal to SolveVec. Panels under solveLaneMin rows run SolveVec per row.
+//
+// scratch optionally supplies the tile: if scratch[0] holds at least
+// N()·min(b.Rows, solvePanel) elements it is used, and otherwise one panel
+// is allocated per call.
+func (c *Cholesky) SolveRows(b *Matrix, scratch ...[]float64) {
+	n := c.n
+	if b.Cols != n {
+		panic(fmt.Sprintf("dense: SolveRows width %d != %d", b.Cols, n))
 	}
-	for i := 0; i < b.Rows; i++ {
-		c.SolveVec(b.Row(i))
+	panel := min(b.Rows, solvePanel)
+	var tile []float64
+	if panel >= solveLaneMin {
+		if len(scratch) > 0 {
+			tile = scratch[0]
+		}
+		if len(tile) < n*panel {
+			tile = make([]float64, n*panel)
+		}
+	}
+	for lo := 0; lo < b.Rows; lo += panel {
+		hi := min(lo+panel, b.Rows)
+		if hi-lo < solveLaneMin {
+			for i := lo; i < hi; i++ {
+				c.SolveVec(b.Row(i))
+			}
+			continue
+		}
+		c.solveLanes(b, lo, hi, tile[:n*(hi-lo)])
+	}
+}
+
+// solvePanel is the most rows one SolveRows tile holds: it covers ADMM's
+// default 50-row block in one panel, and at F = 50 the tile is 25 KiB.
+const solvePanel = 64
+
+// solveLaneMin is the fewest rows a panel needs to run across lanes. Below
+// it the transposes, the short AxpyRow calls and their scalar tails cost
+// more than per-row SolveVec saves. BenchmarkSolveRows, median of 5 on a
+// 2-vCPU AVX2 host, µs per panel, lanes vs SolveVec per row:
+//
+//	rows   F = 10        F = 25        F = 50
+//	   1   0.66 / 0.14   4.33 / 0.61   16.3 / 2.2
+//	   4   0.64 / 0.59   3.68 / 2.43   13.9 / 10.5
+//	   6   0.74 / 0.84   4.72 / 3.75   16.7 / 13.5
+//	   8   0.73 / 1.13   3.99 / 4.83   14.2 / 16.0
+//	  50   2.26 / 6.45   12.6 / 32.2   33.7 / 101
+//
+// So a fold-in (1 row), the last rows of a mode and a distnet worker's last
+// owned rows stay on SolveVec.
+const solveLaneMin = 8
+
+// solveLanes solves rows [lo, hi) of b through the transposed tile t, which
+// holds exactly N()·(hi−lo) elements.
+func (c *Cholesky) solveLanes(b *Matrix, lo, hi int, t []float64) {
+	n, m := c.n, hi-lo
+	for r := 0; r < m; r++ {
+		for j, v := range b.Row(lo + r) {
+			t[j*m+r] = v
+		}
+	}
+	// Forward substitution L·y = b, one tile row per unknown.
+	for i := 0; i < n; i++ {
+		ti := t[i*m : (i+1)*m]
+		li := c.l.Row(i)
+		for k := 0; k < i; k++ {
+			axpyRow(ti, -li[k], t[k*m:(k+1)*m])
+		}
+		divRow(ti, li[i])
+	}
+	// Backward substitution Lᵀ·x = y.
+	for i := n - 1; i >= 0; i-- {
+		ti := t[i*m : (i+1)*m]
+		lti := c.lt.Row(i)
+		for k := i + 1; k < n; k++ {
+			axpyRow(ti, -lti[k], t[k*m:(k+1)*m])
+		}
+		divRow(ti, lti[i])
+	}
+	for r := 0; r < m; r++ {
+		row := b.Row(lo + r)
+		for j := range row {
+			row[j] = t[j*m+r]
+		}
+	}
+}
+
+// divRow divides every element by d. It divides rather than multiplying by
+// 1/d, which would round differently.
+func divRow(x []float64, d float64) {
+	for i := range x {
+		x[i] /= d
 	}
 }
 

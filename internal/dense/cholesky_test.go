@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -192,4 +193,141 @@ func TestSolveVecLengthPanics(t *testing.T) {
 		}
 	}()
 	ch.SolveVec([]float64{1, 2})
+}
+
+// laneInput returns a rows x f right-hand side with a stride of f+3, its
+// padding set to NaN so a solve that reads or writes it shows. Some entries
+// are +0 and −0 so signed-zero handling is pinned too.
+func laneInput(rows, f int, rng *rand.Rand) *Matrix {
+	b := &Matrix{Rows: rows, Cols: f, Stride: f + 3, Data: make([]float64, rows*(f+3))}
+	for i := range b.Data {
+		b.Data[i] = math.NaN()
+	}
+	for i := 0; i < rows; i++ {
+		row := b.Row(i)
+		for j := range row {
+			switch rng.Intn(10) {
+			case 0:
+				row[j] = 0
+			case 1:
+				row[j] = math.Copysign(0, -1)
+			default:
+				row[j] = rng.NormFloat64() * 10
+			}
+		}
+	}
+	return b
+}
+
+// copyStrided copies m with its stride and padding.
+func copyStrided(m *Matrix) *Matrix {
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Stride: m.Stride, Data: append([]float64(nil), m.Data...)}
+}
+
+// sameBits reports the first element where got and want differ in their
+// bits, including the stride padding.
+func sameBits(got, want *Matrix) (int, bool) {
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// The row-lane solve must equal per-row SolveVec bit for bit at every rank
+// and panel size, with or without caller scratch, on strided views, and
+// below the crossover as well as above it (solveLanes is called directly
+// for that, so the crossover can move without losing the check).
+func TestSolveRowsBitwiseMatchesSolveVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for f := 1; f <= 70; f++ {
+		ch, err := NewCholesky(randSPD(f, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := make([]float64, f*solvePanel)
+		for rows := 1; rows <= 70; rows++ {
+			b := laneInput(rows, f, rng)
+			want := copyStrided(b)
+			for i := 0; i < rows; i++ {
+				ch.SolveVec(want.Row(i))
+			}
+			for i := range dirty {
+				dirty[i] = math.Inf(1)
+			}
+			for _, tc := range []struct {
+				name  string
+				solve func(*Matrix)
+			}{
+				{"alloc", func(m *Matrix) { ch.SolveRows(m) }},
+				{"scratch", func(m *Matrix) { ch.SolveRows(m, dirty) }},
+				{"lanes", func(m *Matrix) {
+					for lo := 0; lo < rows; lo += solvePanel {
+						hi := min(lo+solvePanel, rows)
+						ch.solveLanes(m, lo, hi, dirty[:f*(hi-lo)])
+					}
+				}},
+			} {
+				got := copyStrided(b)
+				tc.solve(got)
+				if k, ok := sameBits(got, want); !ok {
+					t.Fatalf("F=%d rows=%d %s: element %d is %v, SolveVec gives %v",
+						f, rows, tc.name, k, got.Data[k], want.Data[k])
+				}
+			}
+		}
+	}
+}
+
+// The transposed tile must not leak between views: solving a RowBlock of a
+// strided parent leaves every other row, and the padding, as it was.
+func TestSolveRowsStridedRowBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	const f = 12
+	ch, err := NewCholesky(randSPD(f, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := laneInput(100, f, rng)
+	want := copyStrided(full)
+	for i := 10; i < 90; i++ {
+		ch.SolveVec(want.Row(i))
+	}
+	ch.SolveRows(full.RowBlock(10, 90))
+	if k, ok := sameBits(full, want); !ok {
+		t.Fatalf("element %d is %v, want %v", k, full.Data[k], want.Data[k])
+	}
+}
+
+// BenchmarkSolveRows times one panel solved across lanes against the same
+// rows through SolveVec, the two sides of SolveRows' crossover
+// (solveLaneMin).
+func BenchmarkSolveRows(b *testing.B) {
+	for _, f := range []int{10, 25, 50} {
+		rng := rand.New(rand.NewSource(int64(f)))
+		ch, err := NewCholesky(randSPD(f, rng))
+		if err != nil {
+			b.Fatal(err)
+		}
+		tile := make([]float64, f*solvePanel)
+		for _, rows := range []int{1, 2, 4, 6, 8, 12, 16, 32, 50, 64} {
+			src := Random(rows, f, rng)
+			work := src.Clone()
+			b.Run(fmt.Sprintf("F=%d/rows=%d/lanes", f, rows), func(b *testing.B) {
+				for it := 0; it < b.N; it++ {
+					copy(work.Data, src.Data)
+					ch.solveLanes(work, 0, rows, tile[:f*rows])
+				}
+			})
+			b.Run(fmt.Sprintf("F=%d/rows=%d/vec", f, rows), func(b *testing.B) {
+				for it := 0; it < b.N; it++ {
+					copy(work.Data, src.Data)
+					for i := 0; i < rows; i++ {
+						ch.SolveVec(work.Row(i))
+					}
+				}
+			})
+		}
+	}
 }

@@ -288,3 +288,69 @@ func TestSweepRemovesStagingAndTrashOnly(t *testing.T) {
 		t.Fatalf("after sweep %v, want %v", got, want)
 	}
 }
+
+func TestMkdirAllStepOrder(t *testing.T) {
+	parent := t.TempDir()
+	r := swapSeam(t, &recorder{})
+	if err := MkdirAll(filepath.Join(parent, "data", "stream", "root")); err != nil {
+		t.Fatal(err)
+	}
+	want := []step{
+		{"mkdir", "data"},
+		{"syncdir", filepath.Base(parent)},
+		{"mkdir", "stream"},
+		{"syncdir", "data"},
+		{"mkdir", "root"},
+		{"syncdir", "stream"},
+	}
+	if !reflect.DeepEqual(r.steps, want) {
+		t.Fatalf("steps %v, want %v", r.steps, want)
+	}
+	// An existing path takes no step.
+	r.steps = nil
+	if err := MkdirAll(filepath.Join(parent, "data", "stream")); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.steps) != 0 {
+		t.Fatalf("steps %v on an existing path", r.steps)
+	}
+}
+
+// A failed step leaves the directories made before it, each with its parent
+// fsync'd, and not the one it was making; a retry makes and fsyncs that one
+// and the rest.
+func TestMkdirAllFailureAtEveryStep(t *testing.T) {
+	const steps = 6 // as in TestMkdirAllStepOrder
+	for i := 0; i < steps; i++ {
+		parent := t.TempDir()
+		path := filepath.Join(parent, "data", "stream", "root")
+		swapSeam(t, &recorder{fail: failAt(i)})
+		if err := MkdirAll(path); !errors.Is(err, errInjected) {
+			t.Fatalf("step %d: err %v", i, err)
+		}
+		made := i / 2 // each directory is a mkdir and its parent's fsync
+		for d, p := 0, parent; d < 3; d++ {
+			p = filepath.Join(p, []string{"data", "stream", "root"}[d])
+			if _, err := os.Stat(p); (err == nil) != (d < made) {
+				t.Fatalf("step %d: %s exists=%v, want %v", i, p, err == nil, d < made)
+			}
+		}
+		r := swapSeam(t, &recorder{})
+		if err := MkdirAll(path); err != nil {
+			t.Fatalf("step %d: retry: %v", i, err)
+		}
+		if len(r.steps) != 2*(3-made) || r.steps[len(r.steps)-1] != (step{"syncdir", "stream"}) {
+			t.Fatalf("step %d: retry steps %v", i, r.steps)
+		}
+	}
+}
+
+func TestMkdirAllRejectsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := MkdirAll(filepath.Join(path, "sub")); err == nil {
+		t.Fatal("MkdirAll under a regular file succeeded")
+	}
+}

@@ -61,6 +61,13 @@ func (r *recorder) rename(from, to string) error {
 	return r.real.rename(from, to)
 }
 
+func (r *recorder) mkdir(dir string) error {
+	if err := r.record("mkdir", dir); err != nil {
+		return err
+	}
+	return r.real.mkdir(dir)
+}
+
 func (r *recorder) syncDir(dir string) error {
 	if err := r.record("syncdir", dir); err != nil {
 		return err

@@ -161,7 +161,7 @@ type Registry struct {
 // than failing startup — the registry loads untrusted dirs and must degrade
 // gracefully.
 func OpenRegistry(dir string) (*Registry, []error, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := durable.MkdirAll(dir); err != nil {
 		return nil, nil, err
 	}
 	if err := durable.Sweep(dir); err != nil {

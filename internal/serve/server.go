@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"aoadmm/internal/distnet"
+	"aoadmm/internal/durable"
 	"aoadmm/internal/faults"
 	"aoadmm/internal/kruskal"
 	obspkg "aoadmm/internal/obs"
@@ -149,7 +149,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueryCacheSize == 0 {
 		cfg.QueryCacheSize = 1024
 	}
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
+	if err := durable.MkdirAll(cfg.DataDir); err != nil {
 		return nil, err
 	}
 	reg, warns, err := OpenRegistry(filepath.Join(cfg.DataDir, "models"))

@@ -202,7 +202,7 @@ func Open(cfg Config) (*Store, []error, error) {
 		return nil, nil, fmt.Errorf("stream: Config.Dir required")
 	}
 	cfg = cfg.fill()
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := durable.MkdirAll(cfg.Dir); err != nil {
 		return nil, nil, err
 	}
 	s := &Store{
@@ -293,7 +293,7 @@ func (s *Store) Ensure(root string, dims []int, decay float64, sourceSpec json.R
 		SourceSpec:      sourceSpec,
 		CreatedUnixNano: time.Now().UnixNano(),
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := durable.MkdirAll(dir); err != nil {
 		return nil, err
 	}
 	if err := writeStateFile(dir, st); err != nil {
