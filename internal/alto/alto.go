@@ -15,8 +15,8 @@ package alto
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
 
 	"aoadmm/internal/tensor"
 )
@@ -53,22 +53,150 @@ type segment struct {
 	mask  uint32 // width mask, already shifted down to the LSB
 }
 
-// Tensor is a sparse tensor in ALTO form: linearized keys sorted ascending,
-// parallel values, and the interval partition. One Tensor serves MTTKRP for
-// all modes; it is immutable after Build.
-type Tensor struct {
+// Layout is the bit interleave of a linearized key: how many key bits each
+// mode owns and where they sit. It is fixed by the dims and the block width
+// alone, so a layout recorded as (dims, BlockBits) decodes the same keys
+// whatever DefaultBlockBits later becomes.
+type Layout struct {
 	Dims []int
 	// Bits[m] is the key width allocated to mode m: ceil(log2(Dims[m])),
 	// minimum 1.
 	Bits []int
 	// KeyBits is the total key width; > 64 engages the two-word key path.
 	KeyBits int
+	// BlockBits is the interleave's block width.
+	BlockBits int
+
+	segs [][]segment // per-mode extraction plans
+
+	// spreadLo[m][b][v] holds the low key word bits that byte b of a mode-m
+	// index contributes when it holds v (spreadHi the high word's, nil for
+	// one-word keys): linearizing is one table lookup per index byte.
+	spreadLo, spreadHi [][][256]uint64
+}
+
+// NewLayout plans the key layout for a tensor of the given dims (blockBits
+// <= 0 means DefaultBlockBits). It refuses fewer than two modes,
+// non-positive dims, and keys wider than MaxKeyBits.
+func NewLayout(dims []int, blockBits int) (*Layout, error) {
+	if len(dims) < 2 {
+		return nil, fmt.Errorf("alto: tensor must have >= 2 modes, got %d", len(dims))
+	}
+	if blockBits <= 0 {
+		blockBits = DefaultBlockBits
+	}
+	l := &Layout{
+		Dims:      append([]int(nil), dims...),
+		Bits:      make([]int, len(dims)),
+		BlockBits: blockBits,
+	}
+	for m, d := range dims {
+		if d <= 0 {
+			return nil, fmt.Errorf("alto: non-positive dimension %d for mode %d", d, m)
+		}
+		b := bits.Len(uint(d - 1))
+		if b == 0 {
+			b = 1 // a dim-1 mode still owns one key bit
+		}
+		l.Bits[m] = b
+		l.KeyBits += b
+	}
+	if l.KeyBits > MaxKeyBits {
+		return nil, fmt.Errorf("alto: tensor needs %d key bits, max %d (dims %v)", l.KeyBits, MaxKeyBits, dims)
+	}
+	l.segs = planSegments(l.Bits, blockBits)
+	l.spreadLo = make([][][256]uint64, len(dims))
+	if l.Words() == 2 {
+		l.spreadHi = make([][][256]uint64, len(dims))
+	}
+	for m, segs := range l.segs {
+		nb := (l.Bits[m] + 7) / 8
+		l.spreadLo[m] = make([][256]uint64, nb)
+		if l.spreadHi != nil {
+			l.spreadHi[m] = make([][256]uint64, nb)
+		}
+		for b := 0; b < nb; b++ {
+			for v := range 256 {
+				c := uint64(v) << (8 * b)
+				for _, s := range segs {
+					piece := ((c >> s.out) & uint64(s.mask)) << s.shift
+					if s.hi {
+						l.spreadHi[m][b][v] |= piece
+					} else {
+						l.spreadLo[m][b][v] |= piece
+					}
+				}
+			}
+		}
+	}
+	return l, nil
+}
+
+// Words returns the key's uint64 word count: 1, or 2 when KeyBits > 64.
+func (l *Layout) Words() int {
+	if l.KeyBits > 64 {
+		return 2
+	}
+	return 1
+}
+
+// Linearize packs the coordinates of columnar non-zeros (inds[m][p] is mode
+// m's index of non-zero p) into keys: lo[p] gets the low key word and, for
+// two-word layouts, hi[p] the high one (hi may be nil otherwise). Indices
+// must already lie inside Dims.
+func (l *Layout) Linearize(inds [][]int32, lo, hi []uint64) {
+	spread(inds, l.spreadLo, lo)
+	if hi != nil {
+		spread(inds, l.spreadHi, hi)
+	}
+}
+
+// spread sets each dst[p] to the OR of the table entries of every byte of
+// non-zero p's indices. A pass covers two bytes of one mode's index (the
+// whole index below 65536), and mode 0's first pass stores instead of ORing.
+func spread(inds [][]int32, tabs [][][256]uint64, dst []uint64) {
+	for m, col := range inds {
+		col = col[:len(dst)]
+		t0, t1 := bytePair(tabs[m], 0)
+		if m == 0 {
+			for p, c := range col {
+				dst[p] = t0[uint8(c)] | t1[uint8(c>>8)]
+			}
+		} else {
+			for p, c := range col {
+				dst[p] |= t0[uint8(c)] | t1[uint8(c>>8)]
+			}
+		}
+		if len(tabs[m]) > 2 {
+			t2, t3 := bytePair(tabs[m], 2)
+			for p, c := range col {
+				dst[p] |= t2[uint8(c>>16)] | t3[uint8(c>>24)]
+			}
+		}
+	}
+}
+
+// noSpread is the all-zero table that stands in for an index byte past a
+// mode's width.
+var noSpread [256]uint64
+
+// bytePair returns the tables of index bytes b and b+1.
+func bytePair(tabs [][256]uint64, b int) (*[256]uint64, *[256]uint64) {
+	if b+1 < len(tabs) {
+		return &tabs[b], &tabs[b+1]
+	}
+	return &tabs[b], &noSpread
+}
+
+// Tensor is a sparse tensor in ALTO form: linearized keys sorted ascending,
+// parallel values, and the interval partition. One Tensor serves MTTKRP for
+// all modes; it is immutable after Build or FromSorted.
+type Tensor struct {
+	Layout
 
 	keysLo []uint64
 	keysHi []uint64 // nil while KeyBits <= 64
 	vals   []float64
-
-	segs [][]segment // per-mode extraction plans
 
 	// parts are the interval boundaries over the sorted non-zeros:
 	// interval t covers [parts[t], parts[t+1]).
@@ -88,13 +216,9 @@ func Build(x *tensor.COO, opts Options) (*Tensor, error) {
 	if x == nil {
 		return nil, fmt.Errorf("alto: nil tensor")
 	}
-	if x.Order() < 2 {
-		return nil, fmt.Errorf("alto: tensor must have >= 2 modes, got %d", x.Order())
-	}
-	for m, d := range x.Dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("alto: non-positive dimension %d for mode %d", d, m)
-		}
+	l, err := NewLayout(x.Dims, opts.BlockBits)
+	if err != nil {
+		return nil, err
 	}
 	if x.NNZ() == 0 {
 		return nil, fmt.Errorf("alto: empty tensor")
@@ -103,88 +227,59 @@ func Build(x *tensor.COO, opts Options) (*Tensor, error) {
 		return nil, fmt.Errorf("alto: %w", err)
 	}
 
-	order := x.Order()
-	t := &Tensor{
-		Dims: append([]int(nil), x.Dims...),
-		Bits: make([]int, order),
-	}
-	for m, d := range x.Dims {
-		b := bits.Len(uint(d - 1))
-		if b == 0 {
-			b = 1 // a dim-1 mode still owns one key bit
-		}
-		t.Bits[m] = b
-		t.KeyBits += b
-	}
-	if t.KeyBits > MaxKeyBits {
-		return nil, fmt.Errorf("alto: tensor needs %d key bits, max %d (dims %v)", t.KeyBits, MaxKeyBits, x.Dims)
-	}
-
-	blockBits := opts.BlockBits
-	if blockBits <= 0 {
-		blockBits = DefaultBlockBits
-	}
-	t.segs = planSegments(t.Bits, blockBits)
-
 	nnz := x.NNZ()
-	t.keysLo = make([]uint64, nnz)
-	t.vals = make([]float64, nnz)
+	t := &Tensor{
+		Layout: *l,
+		keysLo: make([]uint64, nnz),
+		vals:   append([]float64(nil), x.Vals...),
+	}
 	wide := t.KeyBits > 64
 	if wide {
 		t.keysHi = make([]uint64, nnz)
 	}
-	coord := make([]int, order)
-	for p := 0; p < nnz; p++ {
-		for m := range coord {
-			coord[m] = int(x.Inds[m][p])
-		}
-		lo, hi := t.linearize(coord)
-		t.keysLo[p] = lo
-		if wide {
-			t.keysHi[p] = hi
-		}
-	}
-
-	perm := make([]int, nnz)
-	for i := range perm {
-		perm[i] = i
-	}
-	if wide {
-		sort.Slice(perm, func(a, b int) bool {
-			pa, pb := perm[a], perm[b]
-			if t.keysHi[pa] != t.keysHi[pb] {
-				return t.keysHi[pa] < t.keysHi[pb]
-			}
-			return t.keysLo[pa] < t.keysLo[pb]
-		})
-	} else {
-		sort.Slice(perm, func(a, b int) bool { return t.keysLo[perm[a]] < t.keysLo[perm[b]] })
-	}
-	lo := make([]uint64, nnz)
-	var hi []uint64
-	if wide {
-		hi = make([]uint64, nnz)
-	}
-	for i, p := range perm {
-		lo[i] = t.keysLo[p]
-		t.vals[i] = x.Vals[p]
-		if wide {
-			hi[i] = t.keysHi[p]
-		}
-	}
-	t.keysLo, t.keysHi = lo, hi
+	t.Linearize(x.Inds, t.keysLo, t.keysHi)
+	var sorter KeySorter
+	sorter.Sort(t.KeyBits, t.keysLo, t.keysHi, t.vals)
 
 	// Linearization is a bijection, so duplicate coordinates are exactly
 	// adjacent equal keys in the sorted order.
 	for p := 1; p < nnz; p++ {
 		if t.keysLo[p] == t.keysLo[p-1] && (!wide || t.keysHi[p] == t.keysHi[p-1]) {
-			c := make([]int, order)
+			c := make([]int, t.Order())
 			t.Coord(p, c)
 			return nil, fmt.Errorf("alto: duplicate coordinate %v", c)
 		}
 	}
 
-	t.partition(opts.Intervals)
+	if err := t.partition(opts.Intervals); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// FromSorted assembles a Tensor from keys already in ascending order under
+// layout l, with their values, without sorting or copying them: the loader's
+// half of Build, for keys sorted once when they were stored. keysHi must be
+// nil for one-word layouts. The slices are owned by the Tensor afterwards.
+//
+// The input is untrusted, so one pass checks that keys never decrease, that
+// every mode's decoded index lies inside Dims and that every value is
+// finite, and records the interval bounds on the way. Equal adjacent keys —
+// duplicate coordinates that were never coalesced — are kept, and MTTKRP
+// sums them.
+func FromSorted(l *Layout, keysLo, keysHi []uint64, vals []float64) (*Tensor, error) {
+	nnz := len(vals)
+	if nnz == 0 {
+		return nil, fmt.Errorf("alto: empty tensor")
+	}
+	if len(keysLo) != nnz || (l.Words() == 2) != (keysHi != nil) || (keysHi != nil && len(keysHi) != nnz) {
+		return nil, fmt.Errorf("alto: %d values with %d low and %d high key words for a %d-word layout",
+			nnz, len(keysLo), len(keysHi), l.Words())
+	}
+	t := &Tensor{Layout: *l, keysLo: keysLo, keysHi: keysHi, vals: vals}
+	if err := t.partition(0); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -246,21 +341,6 @@ func planSegments(modeBits []int, blockBits int) [][]segment {
 	return segs
 }
 
-// linearize packs a coordinate into a (lo, hi) key pair.
-func (t *Tensor) linearize(coord []int) (lo, hi uint64) {
-	for m, c := range coord {
-		for _, s := range t.segs[m] {
-			piece := (uint64(c) >> s.out) & uint64(s.mask)
-			if s.hi {
-				hi |= piece << s.shift
-			} else {
-				lo |= piece << s.shift
-			}
-		}
-	}
-	return lo, hi
-}
-
 // extract decodes mode m's index from a key pair using the precomputed
 // segment plan.
 func extract(segs []segment, lo, hi uint64) int32 {
@@ -288,8 +368,11 @@ func (t *Tensor) Coord(p int, dst []int) {
 }
 
 // partition cuts the sorted non-zeros into n near-equal intervals (heuristic
-// when n <= 0) and precomputes each interval's per-mode index bounds.
-func (t *Tensor) partition(n int) {
+// when n <= 0) and precomputes each interval's per-mode index bounds. The
+// same pass rejects what a corrupt key stream can hold: a key below its
+// predecessor, an index past its dim (key bits can encode up to the next
+// power of two), and a non-finite value.
+func (t *Tensor) partition(n int) error {
 	nnz := len(t.vals)
 	if n <= 0 {
 		// Enough intervals that dynamic scheduling load-balances well past
@@ -312,25 +395,85 @@ func (t *Tensor) partition(n int) {
 		t.parts[i] = i * nnz / n
 	}
 	t.bounds = make([]int32, n*order*2)
-	coord := make([]int, order)
 	for iv := 0; iv < n; iv++ {
-		b := t.bounds[iv*order*2 : (iv+1)*order*2]
-		for m := 0; m < order; m++ {
-			b[2*m] = int32(t.Dims[m]) // min, start past the end
-			b[2*m+1] = -1             // max
+		b, e := t.parts[iv], t.parts[iv+1]
+		if err := t.checkOrder(max(b, 1), e); err != nil {
+			return err
 		}
-		for p := t.parts[iv]; p < t.parts[iv+1]; p++ {
-			t.Coord(p, coord)
-			for m, c := range coord {
-				if int32(c) < b[2*m] {
-					b[2*m] = int32(c)
-				}
-				if int32(c) > b[2*m+1] {
-					b[2*m+1] = int32(c)
-				}
+		bnd := t.bounds[iv*order*2 : (iv+1)*order*2]
+		for m, segs := range t.segs {
+			first, last := t.indexRange(segs, b, e)
+			// Indices are never negative, so the maximum alone bounds them.
+			if last >= uint64(t.Dims[m]) {
+				return fmt.Errorf("alto: mode %d index %d among non-zeros [%d, %d) outside [0, %d)",
+					m, last, b, e, t.Dims[m])
+			}
+			bnd[2*m], bnd[2*m+1] = int32(first), int32(last)
+		}
+		for p, v := range t.vals[b:e] {
+			if v-v != 0 { // NaN or ±Inf
+				return fmt.Errorf("alto: non-zero %d has non-finite value %v", b+p, v)
 			}
 		}
 	}
+	return nil
+}
+
+// checkOrder reports the first non-zero in [b, e) whose key is below its
+// predecessor's.
+func (t *Tensor) checkOrder(b, e int) error {
+	lo := t.keysLo
+	if t.keysHi == nil {
+		for p := b; p < e; p++ {
+			if lo[p] < lo[p-1] {
+				return fmt.Errorf("alto: key of non-zero %d is below its predecessor's", p)
+			}
+		}
+		return nil
+	}
+	hi := t.keysHi
+	for p := b; p < e; p++ {
+		if hi[p] < hi[p-1] || (hi[p] == hi[p-1] && lo[p] < lo[p-1]) {
+			return fmt.Errorf("alto: key of non-zero %d is below its predecessor's", p)
+		}
+	}
+	return nil
+}
+
+// indexRange returns the smallest and largest index the extraction plan
+// segs decodes from the keys of non-zeros [b, e), which must be non-empty.
+func (t *Tensor) indexRange(segs []segment, b, e int) (first, last uint64) {
+	first = math.MaxUint64
+	if t.keysHi == nil && len(segs) <= 2 {
+		// One or two segments cover every mode of up to 2·BlockBits bits;
+		// holding the plan in registers keeps this the load's cheap pass.
+		var s0, s1 segment
+		s0 = segs[0]
+		if len(segs) == 2 {
+			s1 = segs[1] // else a zero mask: the term adds nothing
+		}
+		// Shift counts masked to 63 compile to bare shifts.
+		sh0, m0, o0 := s0.shift&63, uint64(s0.mask), s0.out&63
+		sh1, m1, o1 := s1.shift&63, uint64(s1.mask), s1.out&63
+		for _, k := range t.keysLo[b:e] {
+			idx := (k>>sh0)&m0<<o0 | (k>>sh1)&m1<<o1
+			first, last = min(first, idx), max(last, idx)
+		}
+		return first, last
+	}
+	for p := b; p < e; p++ {
+		idx := uint64(extract(segs, t.keysLo[p], t.hiKey(p)))
+		first, last = min(first, idx), max(last, idx)
+	}
+	return first, last
+}
+
+// hiKey returns the high key word of non-zero p (0 for one-word keys).
+func (t *Tensor) hiKey(p int) uint64 {
+	if t.keysHi == nil {
+		return 0
+	}
+	return t.keysHi[p]
 }
 
 // Order returns the number of modes.
@@ -363,11 +506,18 @@ func (t *Tensor) MemoryBytes() int64 {
 // order. Build(ToCOO()) reproduces the identical Tensor; round-trip losslessness
 // is pinned by FuzzAltoRoundTrip.
 func (t *Tensor) ToCOO() *tensor.COO {
-	out := tensor.NewCOO(t.Dims, t.NNZ())
-	coord := make([]int, t.Order())
-	for p := 0; p < t.NNZ(); p++ {
-		t.Coord(p, coord)
-		out.Append(coord, t.vals[p])
+	nnz := t.NNZ()
+	out := &tensor.COO{
+		Dims: append([]int(nil), t.Dims...),
+		Inds: make([][]int32, t.Order()),
+		Vals: append([]float64(nil), t.vals...),
+	}
+	for m, segs := range t.segs {
+		col := make([]int32, nnz)
+		for p, lo := range t.keysLo {
+			col[p] = extract(segs, lo, t.hiKey(p))
+		}
+		out.Inds[m] = col
 	}
 	return out
 }

@@ -29,8 +29,17 @@ import (
 // factors holds one dense factor per mode (the output mode's entry is
 // unused); out must be Dims[mode] x F and is overwritten. Shape mismatches
 // panic, mirroring mttkrp.Compute — they are programming errors, not data
-// errors (hostile data is rejected by Build).
+// errors (hostile data is rejected by Build and FromSorted).
 func (t *Tensor) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix, opts mttkrp.Options) {
+	out.Zero()
+	t.AddMTTKRP(mode, factors, out, opts)
+}
+
+// AddMTTKRP adds X(mode)·(⊙_{n≠mode} Aₙ) into out in place, under the same
+// contract as MTTKRP. A tensor streamed in pieces (the out-of-core shards)
+// accumulates every piece into one output this way, with no partial
+// product and no second pass over the output.
+func (t *Tensor) AddMTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix, opts mttkrp.Options) {
 	order := t.Order()
 	rank := out.Cols
 	if mode < 0 || mode >= order {
@@ -54,18 +63,7 @@ func (t *Tensor) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix, op
 	threads := par.Threads(opts.Threads)
 	nIv := t.NumIntervals()
 	if threads == 1 || nIv == 1 {
-		out.Zero()
-		if out.Stride == rank {
-			t.accRange(mode, 0, t.NNZ(), factors, out.Data, 0, rank)
-		} else {
-			// Strided view (row block of a larger scratch matrix):
-			// accumulate compactly, then copy rows out.
-			buf := make([]float64, out.Rows*rank)
-			t.accRange(mode, 0, t.NNZ(), factors, buf, 0, rank)
-			for i := 0; i < out.Rows; i++ {
-				copy(out.Row(i), buf[i*rank:(i+1)*rank])
-			}
-		}
+		t.accRange(mode, 0, t.NNZ(), factors, out.Data, 0, out.Stride, rank)
 		return
 	}
 
@@ -100,12 +98,11 @@ func (t *Tensor) mttkrpBounded(mode int, factors []*dense.Matrix, out *dense.Mat
 			return
 		}
 		buf := make([]float64, (int(hi-lo)+1)*rank)
-		t.accRange(mode, t.parts[iv], t.parts[iv+1], factors, buf, lo, rank)
+		t.accRange(mode, t.parts[iv], t.parts[iv+1], factors, buf, lo, rank, rank)
 		bufs[iv] = buf
 		base[iv] = lo
 	})
 
-	out.Zero()
 	par.Static(out.Rows, threads, func(tid, rb, re int) {
 		for iv := 0; iv < nIv; iv++ {
 			buf := bufs[iv]
@@ -130,7 +127,7 @@ func (t *Tensor) mttkrpBounded(mode int, factors []*dense.Matrix, out *dense.Mat
 
 // mttkrpPrivatized splits the intervals into one fixed group of consecutive
 // intervals per thread, gives each group a full private output matrix, and
-// reduces them in group order — the fallback when interval bounds cover most
+// adds them into out in group order — the fallback when interval bounds cover most
 // of the output mode and bounded buffers would cost more than privatization.
 // Intervals are nnz-balanced, so equal-count groups balance too.
 func (t *Tensor) mttkrpPrivatized(mode int, factors []*dense.Matrix, out *dense.Matrix, rank, threads int, tel *par.Telemetry) {
@@ -140,11 +137,10 @@ func (t *Tensor) mttkrpPrivatized(mode int, factors []*dense.Matrix, out *dense.
 	par.StaticT(tel, nIv, groups, func(g, begin, end int) {
 		p := dense.New(out.Rows, rank)
 		for iv := begin; iv < end; iv++ {
-			t.accRange(mode, t.parts[iv], t.parts[iv+1], factors, p.Data, 0, rank)
+			t.accRange(mode, t.parts[iv], t.parts[iv+1], factors, p.Data, 0, rank, rank)
 		}
 		priv[g] = p
 	})
-	out.Zero()
 	par.Static(out.Rows, threads, func(tid, rb, re int) {
 		for _, p := range priv {
 			for i := rb; i < re; i++ {
@@ -156,13 +152,13 @@ func (t *Tensor) mttkrpPrivatized(mode int, factors []*dense.Matrix, out *dense.
 
 // accRange accumulates the contributions of sorted non-zeros [b, e) for the
 // given output mode into acc, a row-major buffer of rank-length rows where
-// output row i lands at acc[(i-base)*rank:].
-func (t *Tensor) accRange(mode, b, e int, factors []*dense.Matrix, acc []float64, base int32, rank int) {
+// output row i lands at acc[(i-base)*stride:].
+func (t *Tensor) accRange(mode, b, e int, factors []*dense.Matrix, acc []float64, base int32, stride, rank int) {
 	if t.Order() == 3 && t.keysHi == nil {
-		t.acc3Narrow(mode, b, e, factors, acc, base, rank)
+		t.acc3Narrow(mode, b, e, factors, acc, base, stride, rank)
 		return
 	}
-	t.accGeneric(mode, b, e, factors, acc, base, rank)
+	t.accGeneric(mode, b, e, factors, acc, base, stride, rank)
 }
 
 // acc3Narrow is the specialized hot path: order-3 tensors with 64-bit keys.
@@ -171,7 +167,7 @@ func (t *Tensor) accRange(mode, b, e int, factors []*dense.Matrix, acc []float64
 // decoded a batch at a time into row offsets, and one ScaledMulAddRows call
 // applies the batch in order: a call per non-zero would spill the decode
 // loop's state around every call.
-func (t *Tensor) acc3Narrow(mode, b, e int, factors []*dense.Matrix, acc []float64, base int32, rank int) {
+func (t *Tensor) acc3Narrow(mode, b, e int, factors []*dense.Matrix, acc []float64, base int32, stride, rank int) {
 	n1, n2 := otherModes(mode)
 	segO, seg1, seg2 := t.segs[mode], t.segs[n1], t.segs[n2]
 	f1, f2 := factors[n1], factors[n2]
@@ -192,7 +188,7 @@ func (t *Tensor) acc3Narrow(mode, b, e int, factors []*dense.Matrix, acc []float
 			for _, s := range seg2 {
 				i2 |= ((k >> s.shift) & uint64(s.mask)) << s.out
 			}
-			off0[q] = (int(i0) - int(base)) * rank
+			off0[q] = (int(i0) - int(base)) * stride
 			off1[q] = int(i1) * stride1
 			off2[q] = int(i2) * stride2
 		}
@@ -204,7 +200,7 @@ func (t *Tensor) acc3Narrow(mode, b, e int, factors []*dense.Matrix, acc []float
 // mode, then add the value times the elementwise product of the other
 // modes' factor rows into the output row. The product is rounded left to
 // right over the modes, the last multiply inside the row primitive.
-func (t *Tensor) accGeneric(mode, b, e int, factors []*dense.Matrix, acc []float64, base int32, rank int) {
+func (t *Tensor) accGeneric(mode, b, e int, factors []*dense.Matrix, acc []float64, base int32, stride, rank int) {
 	order := t.Order()
 	others := make([]int, 0, order-1)
 	for m := 0; m < order; m++ {
@@ -226,7 +222,7 @@ func (t *Tensor) accGeneric(mode, b, e int, factors []*dense.Matrix, acc []float
 			idx[m] = extract(t.segs[m], lo, hi)
 		}
 		v := t.vals[p]
-		dst := acc[(int(idx[mode])-int(base))*rank:]
+		dst := acc[(int(idx[mode])-int(base))*stride:]
 		dst = dst[:rank]
 		lastRow := factors[last].Row(int(idx[last]))
 		switch len(others) {

@@ -161,9 +161,10 @@ type Options struct {
 	// KernelFormat selects the MTTKRP backend: "" or "csf" (compressed
 	// sparse fiber trees, the default), "alto" (the adaptive linearized
 	// format of internal/alto), or "auto" (pick per tensor from the
-	// perfmodel kernel cost model). Out-of-core runs compile each resident
-	// shard in this format, resolving "auto" per shard. Any other name is
-	// an error — formats never fall back silently.
+	// perfmodel kernel cost model). Out-of-core runs check the name, but the
+	// shard store's payload version picks the per-shard kernel (ALTO for
+	// key-ordered shards, CSF for the column layout). Any other name is an
+	// error — formats never fall back silently.
 	KernelFormat string
 	// EngineBuilder, when non-nil, constructs the in-memory MTTKRP engine
 	// in place of the KernelFormat build — a hook for wrapping the native
@@ -386,7 +387,7 @@ func oocSpec(st *ooc.ShardedTensor, opts Options) (engineSpec, error) {
 		dims:   st.Dims(),
 		normSq: st.NormSq(),
 		build: func() (Engine, error) {
-			return newOOCEngine(st, opts.Rank, opts.MemBudgetBytes, opts.Tracer, opts.KernelFormat), nil
+			return newOOCEngine(st, opts.MemBudgetBytes, opts.Tracer, opts.KernelFormat), nil
 		},
 	}, nil
 }
@@ -402,9 +403,10 @@ func Factorize(x *tensor.COO, opts Options) (*Result, error) {
 
 // FactorizeOOC runs AO-ADMM on a sharded on-disk tensor, streaming shards
 // through the same outer loop as Factorize: per mode, shards are loaded one
-// at a time (prefetched ahead on a background goroutine), compiled to
-// Options.KernelFormat, and their partial MTTKRPs accumulated. ExploitSparsity and SingleCSF are
-// inert out-of-core — there is no resident tree to image against. Shard I/O
+// at a time (prefetched ahead on a background goroutine) and each one's
+// product is added into the mode's MTTKRP by the kernel its payload version
+// selects. ExploitSparsity and SingleCSF are inert out-of-core — there is no
+// resident tree to image against. Shard I/O
 // counters land in Result.OOC and the metrics report.
 func FactorizeOOC(st *ooc.ShardedTensor, opts Options) (*Result, error) {
 	spec, err := oocSpec(st, opts)
@@ -655,7 +657,13 @@ func factorize(spec engineSpec, opts Options, newStep stepBuilder) (*Result, err
 		}
 		res.Trace.Append(point)
 		tr.Emit("outer", "outer_iter", stats.ModeNone, obs.TIDDriver, int64(outer), iterStart, time.Since(iterStart))
-		if opts.CheckpointDir != "" {
+		// The iteration that ends the loop by the cap or by convergence saves
+		// nothing: the caller gets the same state from Result, and a daemon
+		// job registers it and deletes the checkpoint. A stop through
+		// OnIteration, cancellation or MaxTime keeps its save.
+		converged := math.Abs(prevErr-relErr) < opts.Tol
+		final := outer == opts.MaxOuterIters || converged
+		if opts.CheckpointDir != "" && !final {
 			every := opts.CheckpointEvery
 			if every <= 0 {
 				every = 10
@@ -680,7 +688,7 @@ func factorize(spec engineSpec, opts Options, newStep stepBuilder) (*Result, err
 		if opts.OnIteration != nil && !opts.OnIteration(point) {
 			break
 		}
-		if math.Abs(prevErr-relErr) < opts.Tol {
+		if converged {
 			res.Converged = true
 			break
 		}

@@ -162,25 +162,20 @@ func (e *altoEngine) OOCReport() *stats.OOCReport { return nil }
 func (e *altoEngine) Backend(int) string { return FormatALTO }
 
 // oocEngine streams a sharded on-disk tensor: per MTTKRP, shards are loaded
-// one at a time (prefetched on a background goroutine), compiled to the
-// configured kernel format, and their partial products accumulated. Leaf
-// factors are always dense — the compressed-image cache keys off a resident
-// tree that streaming does not have.
+// one at a time (prefetched on a background goroutine) and each one's product
+// is added into K by the kernel its payload version selects (ALTO for the
+// key-ordered shards the converter writes, a per-shard CSF tree for the
+// column layout). Leaf factors are always dense — the compressed-image cache
+// keys off a resident tree that streaming does not have.
 type oocEngine struct {
-	st      *ooc.ShardedTensor
-	scratch *dense.Matrix // maxDim x rank backing; RowBlock'd per mode
-	stats   ooc.StreamStats
-	budget  int64
-	format  string // per-shard kernel format: csf, alto, or auto
+	st     *ooc.ShardedTensor
+	stats  ooc.StreamStats
+	budget int64
+	format string // Options.KernelFormat, checked by the stream
 }
 
-func newOOCEngine(st *ooc.ShardedTensor, rank int, budgetBytes int64, tr *obs.Tracer, format string) *oocEngine {
-	e := &oocEngine{
-		st:      st,
-		scratch: dense.New(maxDim(st.Dims()), rank),
-		budget:  budgetBytes,
-		format:  format,
-	}
+func newOOCEngine(st *ooc.ShardedTensor, budgetBytes int64, tr *obs.Tracer, format string) *oocEngine {
+	e := &oocEngine{st: st, budget: budgetBytes, format: format}
 	e.stats.Trace = tr
 	return e
 }
@@ -188,8 +183,7 @@ func newOOCEngine(st *ooc.ShardedTensor, rank int, budgetBytes int64, tr *obs.Tr
 func (e *oocEngine) LeafTree(int) *csf.Tensor { return nil }
 
 func (e *oocEngine) MTTKRP(m int, factors []*dense.Matrix, k *dense.Matrix, leaf mttkrp.LeafFactor, mo mttkrp.Options) error {
-	scratch := e.scratch.RowBlock(0, k.Rows)
-	return e.st.MTTKRPKernel(e.format, m, factors, k, scratch, mo, &e.stats)
+	return e.st.MTTKRPKernel(e.format, m, factors, k, nil, mo, &e.stats)
 }
 
 func (e *oocEngine) OOCReport() *stats.OOCReport {
@@ -208,11 +202,10 @@ func (e *oocEngine) OOCReport() *stats.OOCReport {
 }
 
 func (e *oocEngine) Backend(int) string {
-	f := e.format
-	if f == "" {
-		f = FormatCSF
+	if e.st.Version() == ooc.VersionALTO {
+		return "ooc-" + FormatALTO
 	}
-	return "ooc-" + f
+	return "ooc-" + FormatCSF
 }
 
 // backendNames snapshots the engine's per-mode backend choice for Result and

@@ -9,6 +9,7 @@ import (
 	"aoadmm/internal/faults"
 	"aoadmm/internal/kruskal"
 	"aoadmm/internal/prox"
+	"aoadmm/internal/stats"
 )
 
 // TestResumeExactlyReproducesUninterruptedRun is the core of crash recovery:
@@ -32,13 +33,13 @@ func TestResumeExactlyReproducesUninterruptedRun(t *testing.T) {
 		t.Fatalf("full run did %d iterations", full.OuterIters)
 	}
 
-	// Interrupted run: same options plus checkpointing, stopped by the
-	// iteration cap at iteration 7.
+	// Interrupted run: same options plus checkpointing, stopped through
+	// OnIteration at iteration 7 (a run that ends by its cap saves nothing).
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	half := opts
-	half.MaxOuterIters = 7
 	half.CheckpointDir = dir
 	half.CheckpointEvery = 7
+	half.OnIteration = func(p stats.TracePoint) bool { return p.Iteration < 7 }
 	if _, err := Factorize(x, half); err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +80,10 @@ func TestResumeBeyondCapReturnsCheckpointState(t *testing.T) {
 	x := testTensor(t, 461)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	first, err := Factorize(x, Options{
-		Rank: 4, Seed: 2, MaxOuterIters: 5, Tol: 1e-300, Threads: 1,
+		Rank: 4, Seed: 2, MaxOuterIters: 10, Tol: 1e-300, Threads: 1,
 		Constraints:   []prox.Operator{prox.NonNegative{}},
 		CheckpointDir: dir, CheckpointEvery: 5,
+		OnIteration: func(p stats.TracePoint) bool { return p.Iteration < 5 },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +137,7 @@ func TestCheckpointSaveFaultSurfacesOnResult(t *testing.T) {
 	inj2 := faults.New()
 	inj2.Arm(faults.CheckpointSave, 0, 1, errors.New("transient"))
 	res2, err := Factorize(x, Options{
-		Rank: 4, Seed: 3, MaxOuterIters: 4, Tol: 1e-300,
+		Rank: 4, Seed: 3, MaxOuterIters: 5, Tol: 1e-300,
 		Constraints:   []prox.Operator{prox.NonNegative{}},
 		CheckpointDir: dir, CheckpointEvery: 2, Faults: inj2,
 	})
@@ -159,7 +161,7 @@ func TestCheckpointCarriesJobIdentity(t *testing.T) {
 	x := testTensor(t, 463)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	_, err := Factorize(x, Options{
-		Rank: 4, Seed: 4, MaxOuterIters: 2, Tol: 1e-300,
+		Rank: 4, Seed: 4, MaxOuterIters: 3, Tol: 1e-300,
 		CheckpointDir: dir, CheckpointEvery: 1,
 		CheckpointJobID: "j000007", CheckpointAttempt: 3,
 	})
@@ -172,5 +174,40 @@ func TestCheckpointCarriesJobIdentity(t *testing.T) {
 	}
 	if meta.JobID != "j000007" || meta.Attempt != 3 || meta.Iteration != 2 {
 		t.Fatalf("meta %+v", meta)
+	}
+}
+
+// TestFinalIterationSavesNoCheckpoint: a run that ends by its cap or by
+// convergence skips the save its last iteration would make, since the
+// caller gets that state from Result. Ten iterations at every five save
+// once, at iteration 5.
+func TestFinalIterationSavesNoCheckpoint(t *testing.T) {
+	x := testTensor(t, 464)
+	for _, tc := range []struct {
+		name string
+		tol  float64
+	}{
+		{"cap", 1e-300},
+		{"converged", 1e300}, // converges at iteration 1: nothing to save
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := faults.New()
+			res, err := Factorize(x, Options{
+				Rank: 4, Seed: 5, MaxOuterIters: 10, Tol: tc.tol,
+				Constraints:   []prox.Operator{prox.NonNegative{}},
+				CheckpointDir: filepath.Join(t.TempDir(), "ckpt"), CheckpointEvery: 5, Faults: inj,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 1
+			if res.Converged {
+				want = 0
+			}
+			if got := inj.Fired(faults.CheckpointSave); got != want {
+				t.Fatalf("%d checkpoint saves over %d iterations (converged %v), want %d",
+					got, res.OuterIters, res.Converged, want)
+			}
+		})
 	}
 }

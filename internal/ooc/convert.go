@@ -10,9 +10,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
+	"aoadmm/internal/alto"
 	"aoadmm/internal/tensor"
 )
 
@@ -275,27 +276,19 @@ func (c *converter) add(coord []int32, val float64) error {
 	return nil
 }
 
-// chunkSorter sorts the chunk's parallel arrays in place, lexicographically
-// with mode 0 most significant — no index permutation or copy needed.
-type chunkSorter struct{ c *converter }
-
-func (s chunkSorter) Len() int { return len(s.c.chunkVals) }
-func (s chunkSorter) Less(a, b int) bool {
-	for _, col := range s.c.chunkInds {
-		if col[a] != col[b] {
-			return col[a] < col[b]
-		}
+// sortChunk sorts the chunk's parallel arrays in place, lexicographically
+// with mode 0 most significant, by the linear-time stable radix sort of
+// tensor.(*COO).Sort: records with equal coordinates keep their input order,
+// which is the order they coalesce in.
+func (c *converter) sortChunk() {
+	perm := make([]int, c.order)
+	dims := make([]int, c.order)
+	for m := range perm {
+		perm[m], dims[m] = m, int(c.maxIdx[m])+1
 	}
-	return false
+	chunk := tensor.COO{Dims: dims, Inds: c.chunkInds, Vals: c.chunkVals}
+	chunk.Sort(perm)
 }
-func (s chunkSorter) Swap(a, b int) {
-	for _, col := range s.c.chunkInds {
-		col[a], col[b] = col[b], col[a]
-	}
-	s.c.chunkVals[a], s.c.chunkVals[b] = s.c.chunkVals[b], s.c.chunkVals[a]
-}
-
-func (c *converter) sortChunk() { sort.Sort(chunkSorter{c}) }
 
 // spill sorts the current chunk and writes it as a row-wise run file.
 func (c *converter) spill() error {
@@ -340,6 +333,12 @@ func (c *converter) spill() error {
 	return nil
 }
 
+// dropChunk releases the chunk buffers once every record has moved on to the
+// shard writer or a run file, before the shards are encoded.
+func (c *converter) dropChunk() {
+	c.chunkInds, c.chunkVals = nil, nil
+}
+
 // abort removes temporary state after a failed conversion.
 func (c *converter) abort() {
 	os.RemoveAll(c.opts.TmpDir)
@@ -365,7 +364,13 @@ func (c *converter) finish() (*ShardedTensor, error) {
 		target:   c.opts.TargetShardBytes,
 		coalesce: c.opts.Coalesce,
 	}
-	w.reset()
+	// ALTO-ordered shards need a key of at most alto.MaxKeyBits (and two or
+	// more modes); anything else keeps the column layout.
+	if l, err := alto.NewLayout(dims, alto.DefaultBlockBits); err == nil {
+		w.layout = l
+	}
+	w.reset(c.nnz)
+	defer w.wait() // error paths: let an in-flight shard write finish
 
 	var err error
 	if len(c.runs) == 0 {
@@ -380,11 +385,13 @@ func (c *converter) finish() (*ShardedTensor, error) {
 				return nil, err
 			}
 		}
+		c.dropChunk()
 	} else {
 		// Spill the final partial chunk, then k-way merge all runs.
 		if err = c.spill(); err != nil {
 			return nil, err
 		}
+		c.dropChunk()
 		if err = mergeRuns(c.runs, c.order, w); err != nil {
 			return nil, err
 		}
@@ -399,7 +406,10 @@ func (c *converter) finish() (*ShardedTensor, error) {
 		// totals count pre-coalesce records, so take the writer's.
 		nnz, normSq = w.outNNZ, w.outNormSq
 	}
-	h := &Header{Dims: dims, NNZ: nnz, NormSq: normSq, Shards: w.shards}
+	h := &Header{Version: VersionColumns, Dims: dims, NNZ: nnz, NormSq: normSq, Shards: w.shards}
+	if w.layout != nil {
+		h.Version, h.BlockBits, h.KeyWords = VersionALTO, w.layout.BlockBits, w.layout.Words()
+	}
 	hpath := filepath.Join(c.outDir, HeaderFileName)
 	if err := os.WriteFile(hpath, EncodeHeader(h), 0o644); err != nil {
 		return nil, err
@@ -409,6 +419,7 @@ func (c *converter) finish() (*ShardedTensor, error) {
 
 // runReader streams one sorted run file record by record.
 type runReader struct {
+	run   int // position in spill order: breaks ties between equal records
 	br    *bufio.Reader
 	f     *os.File
 	rec   []byte
@@ -448,7 +459,9 @@ func (r *runReader) next() error {
 	return nil
 }
 
-// runHeap is a min-heap of run readers keyed by their current record.
+// runHeap is a min-heap of run readers keyed by their current record, then
+// by run: equal records leave in spill order, so the merge keeps the input
+// order of records that share a coordinate.
 type runHeap []*runReader
 
 func (h runHeap) Len() int { return len(h) }
@@ -459,7 +472,7 @@ func (h runHeap) Less(a, b int) bool {
 			return ca[m] < cb[m]
 		}
 	}
-	return false
+	return h[a].run < h[b].run
 }
 func (h runHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
 func (h *runHeap) Push(x any)   { *h = append(*h, x.(*runReader)) }
@@ -473,11 +486,12 @@ func mergeRuns(runs []string, order int, w *shardWriter) error {
 			r.f.Close()
 		}
 	}()
-	for _, path := range runs {
+	for i, path := range runs {
 		r, err := openRun(path, order)
 		if err != nil {
 			return err
 		}
+		r.run = i
 		if r.done {
 			r.f.Close()
 			continue
@@ -504,11 +518,15 @@ func mergeRuns(runs []string, order int, w *shardWriter) error {
 }
 
 // shardWriter buffers sorted records and flushes mode-0-aligned shards.
+// A flushed shard is encoded and written on a background goroutine while the
+// merge fills the next one; at most one shard is in flight, so the buffers
+// alternate between two sets.
 type shardWriter struct {
 	dir      string
 	order    int
 	target   int64
 	coalesce bool
+	layout   *alto.Layout // VersionALTO key layout; nil writes VersionColumns
 
 	inds      [][]int32
 	vals      []float64
@@ -516,10 +534,36 @@ type shardWriter struct {
 	shards    []ShardInfo
 	outNNZ    int64
 	outNormSq float64
+
+	spareInds [][]int32
+	spareVals []float64
+	capRecs   int // records a buffer set is allocated for
+	enc       shardEncoder
+	pending   chan encoded // the in-flight shard's result; nil when none
 }
 
-func (w *shardWriter) reset() {
-	w.inds = make([][]int32, w.order)
+// encoded is the outcome of one background shard write.
+type encoded struct {
+	crc uint32
+	err error
+}
+
+// reset allocates the first buffer set for a stream of the given number
+// of records: one shard's worth at the target size, or the whole stream when
+// that is smaller, so appends rarely regrow the buffers.
+func (w *shardWriter) reset(records int64) {
+	w.capRecs = int(min(records, w.target/recordBytes(w.order)+1))
+	w.inds, w.vals = w.newBuffers()
+	w.spareInds = make([][]int32, w.order)
+}
+
+// newBuffers allocates an empty buffer set with room for capRecs records.
+func (w *shardWriter) newBuffers() ([][]int32, []float64) {
+	inds := make([][]int32, w.order)
+	for m := range inds {
+		inds[m] = make([]int32, 0, w.capRecs)
+	}
+	return inds, make([]float64, 0, w.capRecs)
 }
 
 // add appends one record, cutting a shard first when the buffer has reached
@@ -556,57 +600,173 @@ func (w *shardWriter) sameAsLast(coord []int32) bool {
 	return true
 }
 
-// flush writes the buffered records as one CRC'd shard covering [lo, hi).
+// flush hands the buffered records to the background encoder as one shard
+// covering [lo, hi), after the previous shard's write has finished.
 func (w *shardWriter) flush(hi int64) error {
 	nnz := len(w.vals)
 	if nnz == 0 {
 		return nil
 	}
-	// Post-coalesce totals accumulate here, where the records are final.
+	// Post-coalesce totals accumulate here, where the records are final and
+	// still in merge order.
 	w.outNNZ += int64(nnz)
 	for _, v := range w.vals {
 		w.outNormSq += v * v
 	}
+	if err := w.wait(); err != nil {
+		return err
+	}
 	path := filepath.Join(w.dir, ShardFileName(len(w.shards)))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	sum := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(f, sum), 1<<16)
-	for m := 0; m < w.order; m++ {
-		if err := binary.Write(bw, binary.LittleEndian, w.inds[m]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, w.vals); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	w.shards = append(w.shards, ShardInfo{
-		NNZ: int64(nnz),
-		Lo:  w.lo,
-		Hi:  hi,
-		CRC: sum.Sum32(),
-	})
+	w.shards = append(w.shards, ShardInfo{NNZ: int64(nnz), Lo: w.lo, Hi: hi})
 	w.lo = hi
+	inds, vals := w.inds, w.vals
+	done := make(chan encoded, 1)
+	w.pending = done
+	go func() {
+		crc, err := w.enc.write(path, w.layout, inds, vals)
+		done <- encoded{crc, err}
+	}()
+	w.inds, w.vals, w.spareInds, w.spareVals = w.spareInds, w.spareVals[:0], inds, vals
+	if cap(w.vals) == 0 {
+		w.inds, w.vals = w.newBuffers() // the second set, on the first cut
+	}
 	for m := range w.inds {
 		w.inds[m] = w.inds[m][:0]
 	}
-	w.vals = w.vals[:0]
 	return nil
 }
 
+// wait blocks until the in-flight shard, if any, is written and records
+// its CRC.
+func (w *shardWriter) wait() error {
+	if w.pending == nil {
+		return nil
+	}
+	r := <-w.pending
+	w.pending = nil
+	w.shards[len(w.shards)-1].CRC = r.crc
+	return r.err
+}
+
+// shardEncoder encodes and writes shard payloads. Its buffers (keys, their
+// sorter, the write buffer) are reused from shard to shard; only the
+// writer's one in-flight goroutine touches them.
+type shardEncoder struct {
+	keysLo, keysHi []uint64
+	sorter         alto.KeySorter
+	buf            []byte
+}
+
+// write encodes the records (sorted lexicographically) as a payload under
+// layout — VersionALTO, or VersionColumns when layout is nil — writes it to
+// path and returns its CRC. The ALTO encoding sorts vals in place.
+func (e *shardEncoder) write(path string, layout *alto.Layout, inds [][]int32, vals []float64) (uint32, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	if e.buf == nil {
+		e.buf = make([]byte, 0, 1<<16)
+	}
+	p := payloadWriter{w: f, buf: e.buf[:0]}
+	if layout != nil {
+		lo, hi := e.sortByKey(layout, inds, vals)
+		p.uint64s(lo)
+		p.uint64s(hi)
+	} else {
+		for _, col := range inds {
+			p.int32s(col)
+		}
+	}
+	p.float64s(vals)
+	p.flush()
+	if p.err != nil {
+		f.Close()
+		return 0, p.err
+	}
+	if err := f.Close(); err != nil {
+		return 0, err
+	}
+	return p.crc, nil
+}
+
+// sortByKey linearizes the records and sorts keys and values by key
+// (stably, so uncoalesced duplicates keep their merge order). It returns the
+// sorted low and high key words (hi is nil for one-word layouts).
+func (e *shardEncoder) sortByKey(layout *alto.Layout, inds [][]int32, vals []float64) (lo, hi []uint64) {
+	nnz := len(vals)
+	e.keysLo = slices.Grow(e.keysLo[:0], nnz)[:nnz]
+	if layout.Words() == 2 {
+		e.keysHi = slices.Grow(e.keysHi[:0], nnz)[:nnz]
+		hi = e.keysHi
+	}
+	layout.Linearize(inds, e.keysLo, hi)
+	e.sorter.Sort(layout.KeyBits, e.keysLo, hi, vals)
+	return e.keysLo, hi
+}
+
+// payloadWriter writes a payload through a fixed-size buffer and keeps its
+// CRC, so no shard is ever held encoded in memory whole.
+type payloadWriter struct {
+	w   io.Writer
+	buf []byte // encoded bytes not yet written; its capacity is fixed
+	crc uint32
+	err error
+}
+
+// room returns how many of want elements of size bytes fit in the buffer,
+// writing it out first when not even one does.
+func (p *payloadWriter) room(size, want int) int {
+	if cap(p.buf)-len(p.buf) < size {
+		p.flush()
+	}
+	return min(want, (cap(p.buf)-len(p.buf))/size)
+}
+
+// flush writes the buffered bytes out. The first write error sticks.
+func (p *payloadWriter) flush() {
+	p.crc = crc32.Update(p.crc, crc32.IEEETable, p.buf)
+	if p.err == nil && len(p.buf) > 0 {
+		_, p.err = p.w.Write(p.buf)
+	}
+	p.buf = p.buf[:0]
+}
+
+func (p *payloadWriter) uint64s(xs []uint64) {
+	for len(xs) > 0 {
+		n := p.room(8, len(xs))
+		for _, x := range xs[:n] {
+			p.buf = binary.LittleEndian.AppendUint64(p.buf, x)
+		}
+		xs = xs[n:]
+	}
+}
+
+func (p *payloadWriter) float64s(xs []float64) {
+	for len(xs) > 0 {
+		n := p.room(8, len(xs))
+		for _, x := range xs[:n] {
+			p.buf = binary.LittleEndian.AppendUint64(p.buf, math.Float64bits(x))
+		}
+		xs = xs[n:]
+	}
+}
+
+func (p *payloadWriter) int32s(xs []int32) {
+	for len(xs) > 0 {
+		n := p.room(4, len(xs))
+		for _, x := range xs[:n] {
+			p.buf = binary.LittleEndian.AppendUint32(p.buf, uint32(x))
+		}
+		xs = xs[n:]
+	}
+}
+
 // close flushes the final shard, extending its range to the full mode-0 dim
-// so the shard ranges partition [0, dims[0]).
+// so the shard ranges partition [0, dims[0]), and waits for it to be written.
 func (w *shardWriter) close(dim0 int64) error {
-	return w.flush(dim0)
+	if err := w.flush(dim0); err != nil {
+		return err
+	}
+	return w.wait()
 }

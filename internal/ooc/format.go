@@ -7,12 +7,12 @@
 //
 // The design follows the streamed partial-MTTKRP approach of Nguyen et al.
 // ("Efficient, Out-of-Memory Sparse MTTKRP on Massively Parallel
-// Architectures"): the tensor is range-partitioned along mode 0 into sorted
-// binary shards; per output mode, shards are loaded one at a time, compiled
-// into a per-shard CSF tree, and their partial MTTKRP accumulated into the
-// full result, while a background goroutine prefetches the next shard so I/O
-// overlaps compute. The existing mttkrp kernels run unchanged on the
-// per-shard trees.
+// Architectures"): the tensor is range-partitioned along mode 0 into binary
+// shards stored in one mode-agnostic linearized order (ALTO, package alto),
+// so every output mode streams the same shards straight into the ALTO kernel
+// with no per-shard build, while a background goroutine prefetches the next
+// shard so I/O overlaps compute. Each shard's product is added into the
+// output in place.
 package ooc
 
 import (
@@ -20,22 +20,31 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"aoadmm/internal/alto"
 )
 
 // On-disk layout of an ".aoshard" directory:
 //
 //	header.aosh      binary header (EncodeHeader), self-CRC'd
-//	shard-00000.aosd columnar shard payloads, one per ShardInfo, each CRC'd
+//	shard-00000.aosd shard payloads, one per ShardInfo, each CRC'd
 //	shard-00001.aosd ...
 //
-// A shard payload is the AOTN-style columnar encoding of its non-zeros,
-// sorted lexicographically (mode 0 most significant): for each mode, nnz
-// little-endian int32 indices, then nnz little-endian float64 values. The
-// payload CRC lives in the header's ShardInfo so a torn or bit-rotted shard
-// is detected at load time.
+// The header's version fixes every payload's layout:
+//
+//   - Version 2 (what the converter writes): the non-zeros in ascending ALTO
+//     key order under the header's key layout (dims, BlockBits). nnz
+//     little-endian uint64 low key words, then nnz high key words when
+//     KeyWords is 2, then nnz little-endian float64 values.
+//   - Version 1 (still read; written for tensors whose key would exceed
+//     alto.MaxKeyBits): the non-zeros sorted lexicographically (mode 0 most
+//     significant); for each mode, nnz little-endian int32 indices, then nnz
+//     little-endian float64 values.
+//
+// The payload CRC lives in the header's ShardInfo so a torn or bit-rotted
+// shard is detected at load time.
 const (
-	headerMagic   = "AOSH"
-	headerVersion = 1
+	headerMagic = "AOSH"
 
 	// HeaderFileName is the header's file name inside a shard directory.
 	HeaderFileName = "header.aosh"
@@ -46,6 +55,14 @@ const (
 	maxShards = 1 << 20
 	maxNNZ    = 1 << 40
 	maxDim    = 1 << 31
+)
+
+// Payload versions.
+const (
+	// VersionColumns stores N int32 index columns in lexicographic order.
+	VersionColumns = 1
+	// VersionALTO stores linearized ALTO keys in key order.
+	VersionALTO = 2
 )
 
 // ShardFileName returns the canonical file name of shard i.
@@ -65,6 +82,15 @@ type ShardInfo struct {
 // precomputed squared Frobenius norm (so solvers need no extra data pass),
 // and per-shard metadata.
 type Header struct {
+	// Version is the payload layout, VersionColumns or VersionALTO; zero
+	// encodes as VersionColumns.
+	Version int
+	// BlockBits and KeyWords pin a VersionALTO key layout: the interleave's
+	// block width and the key's uint64 word count (1, or 2 past 64 key bits).
+	// Both are zero under VersionColumns.
+	BlockBits int
+	KeyWords  int
+
 	Dims   []int
 	NNZ    int64
 	NormSq float64
@@ -74,29 +100,50 @@ type Header struct {
 // Order returns the number of modes.
 func (h *Header) Order() int { return len(h.Dims) }
 
+// version returns the payload version, reading zero as VersionColumns.
+func (h *Header) version() int {
+	if h.Version == 0 {
+		return VersionColumns
+	}
+	return h.Version
+}
+
 // shardPayloadBytes is the exact byte length of a shard payload with the
-// given nnz under the given order.
-func shardPayloadBytes(order int, nnz int64) int64 {
-	return nnz * int64(4*order+8)
+// given nnz under the header's version.
+func (h *Header) shardPayloadBytes(nnz int64) int64 {
+	if h.version() == VersionALTO {
+		return nnz * int64(8*h.KeyWords+8)
+	}
+	return nnz * int64(4*h.Order()+8)
 }
 
 const shardEntryBytes = 8 + 8 + 8 + 4 // nnz, lo, hi, crc
 
-// headerBytes is the exact encoded length of a header.
-func headerBytes(order, nshards int) int {
-	return 4 + 4 + 4 + 4 + 8 + 8 + 8*order + shardEntryBytes*nshards + 4
+// headerBytes is the exact encoded length of a header: version 2 adds the
+// key layout (block bits, key words) after the fixed fields.
+func headerBytes(version, order, nshards int) int {
+	n := 4 + 4 + 4 + 4 + 8 + 8 + 8*order + shardEntryBytes*nshards + 4
+	if version == VersionALTO {
+		n += 4 + 4
+	}
+	return n
 }
 
 // EncodeHeader serializes the header, appending a CRC32 of the preceding
 // bytes so torn header writes are detected at open time.
 func EncodeHeader(h *Header) []byte {
-	buf := make([]byte, 0, headerBytes(h.Order(), len(h.Shards)))
+	v := h.version()
+	buf := make([]byte, 0, headerBytes(v, h.Order(), len(h.Shards)))
 	buf = append(buf, headerMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, headerVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Order()))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(h.Shards)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.NNZ))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.NormSq))
+	if v == VersionALTO {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(h.BlockBits))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(h.KeyWords))
+	}
 	for _, d := range h.Dims {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(d))
 	}
@@ -122,8 +169,9 @@ func DecodeHeader(b []byte) (*Header, error) {
 	if string(b[:4]) != headerMagic {
 		return nil, fmt.Errorf("ooc: bad header magic %q (want %q)", b[:4], headerMagic)
 	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != headerVersion {
-		return nil, fmt.Errorf("ooc: unsupported header version %d", v)
+	version := binary.LittleEndian.Uint32(b[4:])
+	if version != VersionColumns && version != VersionALTO {
+		return nil, fmt.Errorf("ooc: unsupported header version %d", version)
 	}
 	order := binary.LittleEndian.Uint32(b[8:])
 	nshards := binary.LittleEndian.Uint32(b[12:])
@@ -141,7 +189,7 @@ func DecodeHeader(b []byte) (*Header, error) {
 	if math.IsNaN(normSq) || math.IsInf(normSq, 0) || normSq < 0 {
 		return nil, fmt.Errorf("ooc: implausible norm² %v", normSq)
 	}
-	want := headerBytes(int(order), int(nshards))
+	want := headerBytes(int(version), int(order), int(nshards))
 	if len(b) != want {
 		return nil, fmt.Errorf("ooc: header is %d bytes, want %d for order %d with %d shards",
 			len(b), want, order, nshards)
@@ -151,12 +199,18 @@ func DecodeHeader(b []byte) (*Header, error) {
 	}
 
 	h := &Header{
-		Dims:   make([]int, order),
-		NNZ:    int64(nnz),
-		NormSq: normSq,
-		Shards: make([]ShardInfo, nshards),
+		Version: int(version),
+		Dims:    make([]int, order),
+		NNZ:     int64(nnz),
+		NormSq:  normSq,
+		Shards:  make([]ShardInfo, nshards),
 	}
 	off := fixed
+	if version == VersionALTO {
+		h.BlockBits = int(binary.LittleEndian.Uint32(b[off:]))
+		h.KeyWords = int(binary.LittleEndian.Uint32(b[off+4:]))
+		off += 8
+	}
 	for m := range h.Dims {
 		d := binary.LittleEndian.Uint64(b[off:])
 		if d == 0 || d > maxDim {
@@ -192,5 +246,26 @@ func DecodeHeader(b []byte) (*Header, error) {
 	if sum != h.NNZ {
 		return nil, fmt.Errorf("ooc: shard nnz sum %d != header nnz %d", sum, h.NNZ)
 	}
+	if version == VersionALTO {
+		if _, err := h.keyLayout(); err != nil {
+			return nil, err
+		}
+	}
 	return h, nil
+}
+
+// keyLayout rebuilds a VersionALTO header's key layout from its dims and
+// block bits, and checks the recorded key word count against it.
+func (h *Header) keyLayout() (*alto.Layout, error) {
+	if h.BlockBits < 1 || h.BlockBits > 64 {
+		return nil, fmt.Errorf("ooc: implausible key block bits %d", h.BlockBits)
+	}
+	l, err := alto.NewLayout(h.Dims, h.BlockBits)
+	if err != nil {
+		return nil, fmt.Errorf("ooc: key layout: %w", err)
+	}
+	if h.KeyWords != l.Words() {
+		return nil, fmt.Errorf("ooc: header records %d key words, dims %v need %d", h.KeyWords, h.Dims, l.Words())
+	}
+	return l, nil
 }

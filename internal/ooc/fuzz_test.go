@@ -24,6 +24,17 @@ func FuzzShardHeader(f *testing.F) {
 	}
 	enc := EncodeHeader(good)
 	f.Add(enc)
+	// VersionALTO headers: one- and two-word keys, and a key word count
+	// that disagrees with the dims.
+	v2 := *good
+	v2.Version, v2.BlockBits, v2.KeyWords = VersionALTO, 8, 1
+	f.Add(EncodeHeader(&v2))
+	wide := v2
+	wide.Dims = []int{10, 1 << 30, 1 << 30, 1 << 30}
+	wide.KeyWords = 2
+	f.Add(EncodeHeader(&wide))
+	wide.KeyWords = 1
+	f.Add(EncodeHeader(&wide))
 	f.Add(enc[:len(enc)-1]) // truncated CRC
 	f.Add(append(enc, 0))   // trailing garbage
 	f.Add([]byte("AOSH"))   // magic only
@@ -73,8 +84,14 @@ func FuzzOpenShardDir(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(raw)
+	f.Add(raw) // the converter writes VersionALTO
 	f.Add(raw[:len(raw)/2])
+	if h, err := DecodeHeader(raw); err == nil {
+		h.BlockBits = 3 // a different interleave: the shards misdecode
+		f.Add(EncodeHeader(h))
+		h.Version, h.BlockBits, h.KeyWords = VersionColumns, 0, 0 // wrong payload size
+		f.Add(EncodeHeader(h))
+	}
 	f.Fuzz(func(t *testing.T, header []byte) {
 		dir := t.TempDir()
 		for i := 0; i < st.NumShards(); i++ {

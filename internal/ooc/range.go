@@ -25,7 +25,7 @@ func (s *ShardedTensor) ShardsInRange(lo, hi int) []int {
 
 // LoadRange streams every shard overlapping [lo, hi) through LoadShard and
 // returns the non-zeros whose mode-0 index falls inside the range, with full
-// global dims. This is the distributed engine's shard handoff: a worker
+// global dims, each shard's in its stored order (see LoadShard). This is the distributed engine's shard handoff: a worker
 // assigned the mode-0 range [lo, hi) pulls exactly the shards that cover it
 // and keeps only its slice of any boundary shard. The second return is the
 // total payload bytes read (boundary shards are read whole), for transfer
@@ -42,7 +42,7 @@ func (s *ShardedTensor) LoadRange(lo, hi int) (*tensor.COO, int64, error) {
 		if err != nil {
 			return nil, bytesRead, err
 		}
-		bytesRead += shardPayloadBytes(s.h.Order(), info.NNZ)
+		bytesRead += s.h.shardPayloadBytes(info.NNZ)
 		if int64(lo) <= info.Lo && info.Hi <= int64(hi) {
 			// Interior shard: every non-zero belongs to the range.
 			for m := range out.Inds {
@@ -51,9 +51,7 @@ func (s *ShardedTensor) LoadRange(lo, hi int) (*tensor.COO, int64, error) {
 			out.Vals = append(out.Vals, part.Vals...)
 			continue
 		}
-		// Boundary shard: keep only the in-range slice. Shards are sorted
-		// lexicographically with mode 0 most significant, so the keep-set
-		// is a contiguous run of positions.
+		// Boundary shard: keep only the in-range non-zeros, in stored order.
 		for p, r := range part.Inds[0] {
 			if int(r) < lo || int(r) >= hi {
 				continue

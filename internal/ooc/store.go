@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"aoadmm/internal/alto"
 	"aoadmm/internal/tensor"
 )
 
@@ -15,8 +16,9 @@ import (
 // the ability to load any shard individually. It holds no shard data itself —
 // shards are loaded (and released) one at a time by the streaming engine.
 type ShardedTensor struct {
-	dir string
-	h   *Header
+	dir    string
+	h      *Header
+	layout *alto.Layout // VersionALTO key layout; nil under VersionColumns
 }
 
 // IsShardDir reports whether path looks like a shard directory (a directory
@@ -47,12 +49,18 @@ func Open(dir string) (*ShardedTensor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ooc: %s: %w", dir, err)
 		}
-		if want := shardPayloadBytes(h.Order(), s.NNZ); fi.Size() != want {
+		if want := h.shardPayloadBytes(s.NNZ); fi.Size() != want {
 			return nil, fmt.Errorf("ooc: %s: shard %d is %d bytes, want %d (torn write?)",
 				dir, i, fi.Size(), want)
 		}
 	}
-	return &ShardedTensor{dir: dir, h: h}, nil
+	st := &ShardedTensor{dir: dir, h: h}
+	if h.version() == VersionALTO {
+		if st.layout, err = h.keyLayout(); err != nil {
+			return nil, fmt.Errorf("ooc: %s: %w", dir, err)
+		}
+	}
+	return st, nil
 }
 
 // Dir returns the shard directory path.
@@ -76,16 +84,46 @@ func (s *ShardedTensor) NumShards() int { return len(s.h.Shards) }
 // Shard returns shard i's metadata.
 func (s *ShardedTensor) Shard(i int) ShardInfo { return s.h.Shards[i] }
 
+// Version returns the shard payload version (VersionColumns or VersionALTO).
+func (s *ShardedTensor) Version() int { return s.h.version() }
+
 // String summarizes the sharded tensor.
 func (s *ShardedTensor) String() string {
 	return fmt.Sprintf("Sharded{dims=%v, nnz=%d, shards=%d}", s.h.Dims, s.h.NNZ, len(s.h.Shards))
 }
 
 // LoadShard reads, CRC-verifies, and decodes shard i into a COO tensor
-// carrying the full global dims (indices are global, sorted lexicographically
-// with mode 0 most significant). The returned tensor is owned by the caller;
-// the CSF builder may sort it in place.
+// carrying the full global dims. Indices are global; the non-zeros come in
+// the payload's stored order, which is ALTO key order under VersionALTO and
+// lexicographic (mode 0 most significant) under VersionColumns. The returned
+// tensor is owned by the caller; the CSF builder may sort it in place.
 func (s *ShardedTensor) LoadShard(i int) (*tensor.COO, error) {
+	if s.layout != nil {
+		t, err := s.loadALTO(i)
+		if err != nil {
+			return nil, err
+		}
+		return t.ToCOO(), nil
+	}
+	raw, err := s.readShard(i)
+	if err != nil {
+		return nil, err
+	}
+	return decodeShard(raw, s.h, s.h.Shards[i], i)
+}
+
+// loadALTO reads, CRC-verifies and decodes VersionALTO shard i straight into
+// an ALTO tensor, ready for the kernel.
+func (s *ShardedTensor) loadALTO(i int) (*alto.Tensor, error) {
+	raw, err := s.readShard(i)
+	if err != nil {
+		return nil, err
+	}
+	return decodeALTOShard(raw, s.layout, s.h.Shards[i], i)
+}
+
+// readShard reads shard i's payload and checks its length and CRC.
+func (s *ShardedTensor) readShard(i int) ([]byte, error) {
 	if i < 0 || i >= len(s.h.Shards) {
 		return nil, fmt.Errorf("ooc: shard %d out of range [0, %d)", i, len(s.h.Shards))
 	}
@@ -94,17 +132,62 @@ func (s *ShardedTensor) LoadShard(i int) (*tensor.COO, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ooc: %w", err)
 	}
-	if want := shardPayloadBytes(s.h.Order(), info.NNZ); int64(len(raw)) != want {
+	if want := s.h.shardPayloadBytes(info.NNZ); int64(len(raw)) != want {
 		return nil, fmt.Errorf("ooc: shard %d is %d bytes, want %d (torn write?)", i, len(raw), want)
 	}
 	if sum := crc32.ChecksumIEEE(raw); sum != info.CRC {
 		return nil, fmt.Errorf("ooc: shard %d CRC mismatch (stored %08x, computed %08x)", i, info.CRC, sum)
 	}
-	return decodeShard(raw, s.h, info, i)
+	return raw, nil
 }
 
-// decodeShard parses a verified payload into a COO, validating every index
-// against the header's dims and the shard's mode-0 range.
+// decodeALTOShard parses a VersionALTO payload of info.NNZ non-zeros. The
+// keys and values are decoded into fresh slices that the tensor then owns;
+// alto.FromSorted checks key order, every mode's index against the dims and
+// every value's finiteness in one pass that also records the interval
+// bounds, and those bounds check mode 0 against the shard's [Lo, Hi).
+func decodeALTOShard(raw []byte, l *alto.Layout, info ShardInfo, shard int) (*alto.Tensor, error) {
+	nnz := int(info.NNZ)
+	words := l.Words()
+	if len(raw) != nnz*(8*words+8) {
+		return nil, fmt.Errorf("ooc: shard %d payload is %d bytes, want %d", shard, len(raw), nnz*(8*words+8))
+	}
+	lo := decodeUint64s(raw, nnz)
+	raw = raw[8*nnz:]
+	var hi []uint64
+	if words == 2 {
+		hi = decodeUint64s(raw, nnz)
+		raw = raw[8*nnz:]
+	}
+	vals := make([]float64, nnz)
+	for p := range vals {
+		vals[p] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*p:]))
+	}
+	t, err := alto.FromSorted(l, lo, hi, vals)
+	if err != nil {
+		return nil, fmt.Errorf("ooc: shard %d: %w", shard, err)
+	}
+	for iv := 0; iv < t.NumIntervals(); iv++ {
+		if first, last := t.IntervalBounds(iv, 0); int64(first) < info.Lo || int64(last) >= info.Hi {
+			return nil, fmt.Errorf("ooc: shard %d mode-0 indices [%d, %d] outside [%d, %d)",
+				shard, first, last, info.Lo, info.Hi)
+		}
+	}
+	return t, nil
+}
+
+// decodeUint64s decodes the first n little-endian uint64 words of raw.
+func decodeUint64s(raw []byte, n int) []uint64 {
+	out := make([]uint64, n)
+	for p := range out {
+		out[p] = binary.LittleEndian.Uint64(raw[8*p:])
+	}
+	return out
+}
+
+// decodeShard parses a verified VersionColumns payload into a COO,
+// validating every index against the header's dims and the shard's mode-0
+// range.
 func decodeShard(raw []byte, h *Header, info ShardInfo, shard int) (*tensor.COO, error) {
 	order := h.Order()
 	nnz := int(info.NNZ)
@@ -144,13 +227,22 @@ func decodeShard(raw []byte, h *Header, info ShardInfo, shard int) (*tensor.COO,
 
 // ReadAll loads every shard and concatenates them into one in-memory COO —
 // a convenience for tools and tests working on tensors known to fit in RAM.
+// The non-zeros come in the converter's canonical order whatever the payload
+// version: lexicographic with mode 0 most significant, and equal coordinates
+// in the order they were merged. (Each shard is a mode-0 range and the key
+// sort is stable, so a stable per-shard sort restores that order exactly.)
 func (s *ShardedTensor) ReadAll() (*tensor.COO, error) {
 	out := tensor.NewCOO(s.h.Dims, int(s.h.NNZ))
+	lex := make([]int, s.Order())
+	for m := range lex {
+		lex[m] = m
+	}
 	for i := range s.h.Shards {
 		part, err := s.LoadShard(i)
 		if err != nil {
 			return nil, err
 		}
+		part.Sort(lex)
 		for m := range out.Inds {
 			out.Inds[m] = append(out.Inds[m], part.Inds[m]...)
 		}

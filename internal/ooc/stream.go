@@ -28,15 +28,15 @@ type StreamStats struct {
 	PrefetchStalls int64
 	// StallNanos is the total time spent in those waits.
 	StallNanos int64
-	// PeakBytes is the high-water mark of tracked resident bytes: the COO
+	// PeakBytes is the high-water mark of tracked resident bytes: the
+	// MemoryBytes of loaded ALTO shards, or for VersionColumns stores the COO
 	// footprint of loaded shards (admission-estimator accounting) plus the
 	// actual MemoryBytes of the CSF tree currently compiled from one.
 	PeakBytes int64
 
-	// ShardKernels counts shard kernel compilations by format ("csf",
-	// "alto"): with format "auto" each shard picks its own backend, so the
-	// histogram reveals the per-shard decisions. Populated on Snapshot
-	// copies only; live counts are kept in atomic fields.
+	// ShardKernels counts shard kernel runs by kernel: "alto" for
+	// VersionALTO shards, "csf" for VersionColumns ones. Populated on
+	// Snapshot copies only; live counts are kept in atomic fields.
 	ShardKernels map[string]int64
 
 	// Trace optionally records shard-pipeline spans (shard_load on the
@@ -130,38 +130,37 @@ func (st *StreamStats) Snapshot() StreamStats {
 }
 
 // prefetched is one shard loaded ahead of the consumer, paired with its
-// tracked byte count.
+// tracked byte count: an ALTO tensor for a VersionALTO store, a COO for a
+// VersionColumns one.
 type prefetched struct {
 	idx   int
+	alto  *alto.Tensor
 	coo   *tensor.COO
 	bytes int64
 	err   error
 }
 
 // MTTKRP computes the full matricized-tensor-times-Khatri-Rao product for
-// one mode by streaming shards with the CSF kernel. It is shorthand for
-// MTTKRPKernel with format "csf".
+// one mode by streaming shards. It is shorthand for MTTKRPKernel with format
+// "csf".
 func (s *ShardedTensor) MTTKRP(mode int, factors []*dense.Matrix, out, scratch *dense.Matrix, mo mttkrp.Options, st *StreamStats) error {
 	return s.MTTKRPKernel("csf", mode, factors, out, scratch, mo, st)
 }
 
 // MTTKRPKernel computes the full matricized-tensor-times-Khatri-Rao product
 // for one mode by streaming shards: load shard i (prefetched on a background
-// goroutine while shard i-1 computes), compile its kernel structure, run the
-// in-memory kernel for its partial product into scratch, and accumulate into
-// out. At most two shard COOs are resident (double buffering) plus one
-// compiled structure; the high-water mark is recorded in st.PeakBytes.
+// goroutine while shard i-1 computes), run its kernel, and accumulate into
+// out, which must be Dims()[mode] x rank and is overwritten. At most two
+// loaded shards are resident (double buffering); the high-water mark is
+// recorded in st.PeakBytes.
 //
-// format selects the per-shard kernel: "" or "csf" compiles a CSF tree
-// rooted at the target mode, "alto" compiles a linearized ALTO tensor, and
-// "auto" lets the perfmodel cost model choose per shard — shards with
-// different sparsity structure may legitimately pick different backends
-// within one call (the decisions land in st.ShardKernels). Unknown formats
-// fail loudly.
-//
-// out and scratch must both be Dims()[mode] x rank. The existing kernels are
-// reused unchanged: both zero their output, so partials land in scratch and
-// are AXPY-accumulated.
+// The store's payload version picks the per-shard kernel, not format:
+// VersionALTO shards are already in ALTO key order, so each one is added
+// into out by the ALTO kernel with no build step; VersionColumns shards
+// compile a CSF tree rooted at mode, whose product lands in scratch
+// (Dims()[mode] x rank; nil allocates one) and is added into out. format is
+// still checked against the engine names, and unknown ones fail loudly.
+// st.ShardKernels counts the loads by kernel.
 func (s *ShardedTensor) MTTKRPKernel(format string, mode int, factors []*dense.Matrix, out, scratch *dense.Matrix, mo mttkrp.Options, st *StreamStats) error {
 	if mode < 0 || mode >= s.Order() {
 		return fmt.Errorf("ooc: mode %d out of range [0, %d)", mode, s.Order())
@@ -180,19 +179,27 @@ func (s *ShardedTensor) MTTKRPKernel(format string, mode int, factors []*dense.M
 	go func() {
 		defer close(ch)
 		for i := 0; i < s.NumShards(); i++ {
-			bytes := shardPayloadBytes(order, s.Shard(i).NNZ)
+			read := s.h.shardPayloadBytes(s.Shard(i).NNZ)
 			loadSpan := st.tracer().Begin("ooc", "shard_load", mode, obs.TIDAux, int64(i))
-			coo, err := s.LoadShard(i)
+			p := prefetched{idx: i, bytes: read}
+			if s.layout != nil {
+				p.alto, p.err = s.loadALTO(i)
+				if p.err == nil {
+					p.bytes = p.alto.MemoryBytes()
+				}
+			} else {
+				p.coo, p.err = s.LoadShard(i)
+			}
 			loadSpan.End()
-			if err == nil {
-				st.grow(bytes)
-				st.countLoad(bytes)
+			if p.err == nil {
+				st.grow(p.bytes)
+				st.countLoad(read)
 			}
 			select {
-			case ch <- prefetched{idx: i, coo: coo, bytes: bytes, err: err}:
+			case ch <- p:
 			case <-stop:
-				if err == nil {
-					st.shrink(bytes)
+				if p.err == nil {
+					st.shrink(p.bytes)
 				}
 				return
 			}
@@ -215,44 +222,25 @@ func (s *ShardedTensor) MTTKRPKernel(format string, mode int, factors []*dense.M
 		}
 
 		computeSpan := st.tracer().Begin("ooc", "shard_compute", mode, obs.TIDDriver, int64(p.idx))
-
-		// Resolve the format per shard: under "auto" different shards of
-		// one tensor can have very different fiber structure, so each gets
-		// its own cost-model decision. The name was checked above.
-		shardFormat, _ := perfmodel.ResolveKernelFormat(format, p.coo, out.Cols, mo.Threads)
-
-		// Compile this shard's kernel structure. The shard COO is owned by
-		// this call, so the CSF build may sort it in place — no defensive
-		// clone (the ALTO build never mutates its input).
-		var kernelErr error
-		switch shardFormat {
-		case perfmodel.FormatALTO:
-			at, err := alto.Build(p.coo, alto.Options{})
-			if err != nil {
-				kernelErr = fmt.Errorf("ooc: shard %d alto build: %w", p.idx, err)
-				break
-			}
-			altoBytes := int64(at.MemoryBytes())
-			st.grow(altoBytes)
-			st.countKernel("alto")
-			at.MTTKRP(mode, factors, scratch, mo)
-			dense.AXPY(out, 1, scratch)
-			st.shrink(altoBytes)
-		default: // perfmodel.FormatCSF
+		if p.alto != nil {
+			st.countKernel(perfmodel.FormatALTO)
+			p.alto.AddMTTKRP(mode, factors, out, mo)
+		} else {
+			// The shard COO is owned by this call, so the CSF build may sort
+			// it in place — no defensive clone.
 			tree := csf.Build(p.coo, csf.DefaultPerm(order, mode))
 			treeBytes := int64(tree.MemoryBytes())
 			st.grow(treeBytes)
-			st.countKernel("csf")
+			st.countKernel(perfmodel.FormatCSF)
+			if scratch == nil {
+				scratch = dense.New(out.Rows, out.Cols)
+			}
 			mttkrp.Compute(tree, factors, scratch, nil, mo)
 			dense.AXPY(out, 1, scratch)
 			st.shrink(treeBytes)
 		}
-
 		st.shrink(p.bytes)
 		computeSpan.End()
-		if kernelErr != nil {
-			return kernelErr
-		}
 	}
 	return nil
 }
