@@ -158,7 +158,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 	b.Run("hals", func(b *testing.B) {
 		var relErr float64
 		for i := 0; i < b.N; i++ {
-			res, err := FactorizeHALS(x, HALSOptions{Rank: 16, MaxOuterIters: outers, Seed: 1})
+			res, err := Factorize(x, Options{Variant: HALS, Rank: 16, MaxOuterIters: outers, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 	b.Run("als-unconstrained", func(b *testing.B) {
 		var relErr float64
 		for i := 0; i < b.N; i++ {
-			res, err := FactorizeALS(x, ALSOptions{Rank: 16, MaxOuterIters: outers, Seed: 1, Ridge: 1e-10})
+			res, err := Factorize(x, Options{Variant: ALS, Rank: 16, MaxOuterIters: outers, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -69,7 +69,7 @@ type Options = core.Options
 type Result = core.Result
 
 // Metrics is the fine-grained observability record collected when
-// Options.CollectMetrics (or the ALS/HALS equivalent) is set: per-mode
+// Options.CollectMetrics is set: per-mode
 // kernel timers, per-block ADMM inner-iteration histogram, per-thread
 // scheduler telemetry, and the factor-density timeline. A nil *Metrics is
 // safe to use; every method is a no-op.
@@ -79,8 +79,8 @@ type Metrics = stats.Metrics
 // Metrics.Report, schema "aoadmm-metrics/v1".
 type MetricsReport = stats.Report
 
-// Tracer is a low-overhead span recorder. Assign one to Options.Tracer (or
-// the ALS/HALS equivalent) to record outer-iteration, kernel, scheduler, and
+// Tracer is a low-overhead span recorder. Assign one to Options.Tracer to
+// record outer-iteration, kernel, scheduler, and
 // out-of-core spans into per-thread ring buffers, then export them as a
 // Chrome trace_event file with WriteChromeFile. A nil *Tracer is safe
 // everywhere; every method is a no-op.
@@ -91,22 +91,26 @@ type Tracer = obs.Tracer
 // count as Options.Threads so worker spans land on dedicated shards.
 func NewTracer(threads int) *Tracer { return obs.New(threads) }
 
-// ALSOptions configures FactorizeALS.
-type ALSOptions = core.ALSOptions
-
 // KruskalTensor is the factored form: one factor matrix per mode plus
 // optional component weights.
 type KruskalTensor = kruskal.Tensor
 
-// Variant selects the inner ADMM formulation.
+// Variant selects the per-mode block update of the AO loop.
 type Variant = core.Variant
 
-// Inner ADMM variants.
+// Block updates. Every variant runs through Factorize and FactorizeOOC.
 const (
 	// Blocked is the paper's accelerated blockwise ADMM (§IV-B); default.
 	Blocked = core.Blocked
 	// Baseline is kernel-parallel ADMM with a global convergence criterion.
 	Baseline = core.Baseline
+	// ALS is unconstrained alternating least squares, the classical
+	// baseline; it ignores Constraints and the ADMM fields.
+	ALS = core.ALS
+	// HALS is non-negative hierarchical alternating least squares (Cichocki
+	// & Phan), the classical fast local baseline for non-negative
+	// factorizations; it ignores Constraints and the ADMM fields.
+	HALS = core.HALS
 )
 
 // Structure selects the compressed leaf-factor representation for MTTKRP.
@@ -126,8 +130,8 @@ const (
 	StructAuto = core.StructAuto
 )
 
-// Kernel format names accepted by Options.KernelFormat (and the ALS/HALS
-// equivalents). The set is closed: any other name is an error.
+// Kernel format names accepted by Options.KernelFormat. The set is closed:
+// any other name is an error.
 const (
 	// FormatCSF selects per-mode compressed sparse fiber trees (default).
 	FormatCSF = core.FormatCSF
@@ -152,26 +156,10 @@ const (
 )
 
 // Factorize computes a constrained CPD of x with AO-ADMM (Algorithm 2 of
-// the paper).
+// the paper), or with the ALS or HALS baseline when Options.Variant names
+// one: every solver shares the one AO loop and its MTTKRP/Gram substrate.
 func Factorize(x *Tensor, opts Options) (*Result, error) {
 	return core.Factorize(x, opts)
-}
-
-// FactorizeALS computes an unconstrained CPD with alternating least squares,
-// the classical baseline.
-func FactorizeALS(x *Tensor, opts ALSOptions) (*Result, error) {
-	return core.FactorizeALS(x, opts)
-}
-
-// HALSOptions configures FactorizeHALS.
-type HALSOptions = core.HALSOptions
-
-// FactorizeHALS computes a non-negative CPD with hierarchical alternating
-// least squares (Cichocki & Phan), the classical fast local baseline for
-// non-negative factorizations. It shares the MTTKRP/Gram substrate with
-// AO-ADMM, making convergence-per-work comparisons direct.
-func FactorizeHALS(x *Tensor, opts HALSOptions) (*Result, error) {
-	return core.FactorizeHALS(x, opts)
 }
 
 // ShardedTensor is an on-disk sharded tensor (".aoshard" directory): a
@@ -241,18 +229,12 @@ func ConvertTensorToShards(x *Tensor, outDir string, opts ShardConvertOptions) (
 	return ooc.ConvertCOO(x, outDir, opts)
 }
 
-// FactorizeOOC runs constrained AO-ADMM on a sharded on-disk tensor,
-// streaming shards through the same outer loop as Factorize (one shard
-// resident per MTTKRP plus one prefetched ahead). Final iterates match
-// Factorize on the same seed up to floating-point summation order.
+// FactorizeOOC runs any Variant on a sharded on-disk tensor, streaming
+// shards through the same outer loop as Factorize (one shard resident per
+// MTTKRP plus one prefetched ahead). Final iterates match Factorize on the
+// same seed up to floating-point summation order.
 func FactorizeOOC(st *ShardedTensor, opts Options) (*Result, error) {
 	return core.FactorizeOOC(st, opts)
-}
-
-// FactorizeALSOOC runs the unconstrained ALS baseline on a sharded on-disk
-// tensor.
-func FactorizeALSOOC(st *ShardedTensor, opts ALSOptions) (*Result, error) {
-	return core.FactorizeALSOOC(st, opts)
 }
 
 // NewTensor allocates an empty sparse tensor with the given mode lengths.

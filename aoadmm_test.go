@@ -106,7 +106,7 @@ func TestPublicALS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FactorizeALS(x, ALSOptions{Rank: 6, Seed: 5, MaxOuterIters: 15, Ridge: 1e-8})
+	res, err := Factorize(x, Options{Variant: ALS, Rank: 6, Seed: 5, MaxOuterIters: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,11 +87,12 @@ type runConfig struct {
 }
 
 func run(c runConfig) error {
-	rank, constraint, variant, structure := c.rank, c.constraint, c.variant, c.structure
-	sparsity, threads, maxOuter := c.sparsity, c.threads, c.maxOuter
-	tol, blockSize, seed, output, quiet := c.tol, c.blockSize, c.seed, c.output, c.quiet
+	// Names are checked before the tensor is loaded or converted.
+	variant, structure, err := core.ParseSpec(c.algo, c.variant, c.structure)
+	if err != nil {
+		return err
+	}
 	budgetBytes := c.memBudgetMB << 20
-
 	x, sharded, cleanup, err := resolveTensor(c, budgetBytes)
 	if err != nil {
 		return err
@@ -106,37 +107,36 @@ func run(c runConfig) error {
 		fmt.Printf("tensor: %v\n", x)
 	}
 
-	constraints, err := parseConstraints(constraint, order)
+	constraints, err := parseConstraints(c.constraint, order)
 	if err != nil {
 		return err
 	}
 
 	var tracer *aoadmm.Tracer
 	if c.trace != "" {
-		tracer = aoadmm.NewTracer(threads)
+		tracer = aoadmm.NewTracer(c.threads)
 	}
 
 	opts := aoadmm.Options{
-		Rank:            rank,
+		Rank:            c.rank,
 		Constraints:     constraints,
-		MaxOuterIters:   maxOuter,
-		Tol:             tol,
-		Threads:         threads,
-		BlockSize:       blockSize,
-		ExploitSparsity: sparsity,
-		Seed:            seed,
+		Variant:         variant,
+		MaxOuterIters:   c.maxOuter,
+		Tol:             c.tol,
+		Threads:         c.threads,
+		BlockSize:       c.blockSize,
+		AdaptiveRho:     c.adaptiveRho,
+		ExploitSparsity: c.sparsity,
+		Structure:       structure,
+		SingleCSF:       c.singleCSF,
+		KernelFormat:    c.format,
+		AutoBlockSize:   c.autoBlock,
+		Seed:            c.seed,
 		MemBudgetBytes:  budgetBytes,
 		CollectMetrics:  c.profile != "",
 		Tracer:          tracer,
 	}
-	if opts.Variant, opts.Structure, err = core.ParseSpec(variant, structure); err != nil {
-		return err
-	}
-	opts.SingleCSF = c.singleCSF
-	opts.AutoBlockSize = c.autoBlock
-	opts.AdaptiveRho = c.adaptiveRho
-	opts.KernelFormat = c.format
-	if !quiet {
+	if !c.quiet {
 		opts.OnIteration = func(p aoadmm.TracePoint) bool {
 			fmt.Printf("outer %3d  relerr %.6f  %.2fs\n", p.Iteration, p.RelErr, p.Elapsed.Seconds())
 			return true
@@ -144,34 +144,10 @@ func run(c runConfig) error {
 	}
 
 	var res *aoadmm.Result
-	switch c.algo {
-	case "", "aoadmm":
-		if sharded != nil {
-			res, err = aoadmm.FactorizeOOC(sharded, opts)
-		} else {
-			res, err = aoadmm.Factorize(x, opts)
-		}
-	case "hals":
-		if sharded != nil {
-			return fmt.Errorf("-algo hals does not support out-of-core execution")
-		}
-		res, err = aoadmm.FactorizeHALS(x, aoadmm.HALSOptions{
-			Rank: rank, MaxOuterIters: maxOuter, Tol: tol, Threads: threads, Seed: seed,
-			CollectMetrics: c.profile != "", Tracer: tracer, KernelFormat: c.format,
-		})
-	case "als":
-		alsOpts := aoadmm.ALSOptions{
-			Rank: rank, MaxOuterIters: maxOuter, Tol: tol, Threads: threads, Seed: seed, Ridge: 1e-10,
-			MemBudgetBytes: budgetBytes, CollectMetrics: c.profile != "", Tracer: tracer,
-			KernelFormat: c.format,
-		}
-		if sharded != nil {
-			res, err = aoadmm.FactorizeALSOOC(sharded, alsOpts)
-		} else {
-			res, err = aoadmm.FactorizeALS(x, alsOpts)
-		}
-	default:
-		return fmt.Errorf("unknown algo %q (want aoadmm|hals|als)", c.algo)
+	if sharded != nil {
+		res, err = aoadmm.FactorizeOOC(sharded, opts)
+	} else {
+		res, err = aoadmm.Factorize(x, opts)
 	}
 	if err != nil {
 		return err
@@ -185,7 +161,7 @@ func run(c runConfig) error {
 			r.Shards, r.ShardLoads, float64(r.ShardBytesRead)/(1<<20),
 			r.PrefetchStalls, r.PrefetchStallSeconds, float64(r.PeakTrackedBytes)/(1<<20))
 	}
-	if !quiet && len(res.Trace.Points) > 1 {
+	if !c.quiet && len(res.Trace.Points) > 1 {
 		_ = stats.PlotTrace(os.Stdout, res.Trace, 60, 10)
 	}
 	fmt.Printf("time: %s\n", res.Breakdown)
@@ -209,9 +185,9 @@ func run(c runConfig) error {
 		}
 	}
 
-	if output != "" {
+	if c.output != "" {
 		for m, f := range res.Factors.Factors {
-			path := fmt.Sprintf("%s_mode%d.txt", output, m)
+			path := fmt.Sprintf("%s_mode%d.txt", c.output, m)
 			if err := writeMatrix(path, f.Rows, f.Cols, f.At); err != nil {
 				return err
 			}

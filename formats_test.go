@@ -48,16 +48,16 @@ func TestUnknownKernelFormatFailsLoudly(t *testing.T) {
 			_, err := FactorizeOOC(st, Options{Rank: 3, MaxOuterIters: 1, KernelFormat: f})
 			return err
 		}},
-		{"FactorizeALS", func(f string) error {
-			_, err := FactorizeALS(x, ALSOptions{Rank: 3, MaxOuterIters: 1, KernelFormat: f})
+		{"Factorize ALS", func(f string) error {
+			_, err := Factorize(x, Options{Variant: ALS, Rank: 3, MaxOuterIters: 1, KernelFormat: f})
 			return err
 		}},
-		{"FactorizeALSOOC", func(f string) error {
-			_, err := FactorizeALSOOC(st, ALSOptions{Rank: 3, MaxOuterIters: 1, KernelFormat: f})
+		{"FactorizeOOC ALS", func(f string) error {
+			_, err := FactorizeOOC(st, Options{Variant: ALS, Rank: 3, MaxOuterIters: 1, KernelFormat: f})
 			return err
 		}},
-		{"FactorizeHALS", func(f string) error {
-			_, err := FactorizeHALS(x, HALSOptions{Rank: 3, MaxOuterIters: 1, KernelFormat: f})
+		{"Factorize HALS", func(f string) error {
+			_, err := Factorize(x, Options{Variant: HALS, Rank: 3, MaxOuterIters: 1, KernelFormat: f})
 			return err
 		}},
 		{"dist.NewLocalKernel", func(f string) error {

@@ -60,14 +60,14 @@ func TestCtxCancelALSAndHALS(t *testing.T) {
 	x := testTensor(t, 462)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	als, err := FactorizeALS(x, ALSOptions{Rank: 3, Seed: 1, Ctx: ctx})
+	als, err := Factorize(x, Options{Variant: ALS, Rank: 3, Seed: 1, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !als.Stopped || als.OuterIters != 0 {
 		t.Fatalf("ALS ran %d iterations after cancel", als.OuterIters)
 	}
-	hals, err := FactorizeHALS(x, HALSOptions{Rank: 3, Seed: 1, Ctx: ctx})
+	hals, err := Factorize(x, Options{Variant: HALS, Rank: 3, Seed: 1, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

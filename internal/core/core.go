@@ -34,22 +34,34 @@ import (
 	"aoadmm/internal/tensor"
 )
 
-// Variant selects the inner ADMM formulation.
+// Variant selects the per-mode block update of the AO loop: one of the two
+// inner ADMM formulations, or one of the two classical baselines.
 type Variant int
 
-// Inner ADMM variants.
+// Block updates.
 const (
 	// Blocked is the paper's accelerated blockwise ADMM (§IV-B), the
 	// default.
 	Blocked Variant = iota
 	// Baseline is the kernel-parallel ADMM with global convergence (§IV-A).
 	Baseline
+	// ALS is unconstrained CPD-ALS: the exact normal-equations solve
+	// A_m = K·(G + ridge·I)⁻¹. It ignores Constraints and the ADMM fields.
+	ALS
+	// HALS is non-negative CP-HALS (Cichocki & Phan): one closed-form sweep
+	// over the factor's columns. It ignores Constraints and the ADMM fields.
+	HALS
 )
 
 // String names the variant for logs and experiment output.
 func (v Variant) String() string {
-	if v == Baseline {
+	switch v {
+	case Baseline:
 		return "base"
+	case ALS:
+		return "als"
+	case HALS:
+		return "hals"
 	}
 	return "blocked"
 }
@@ -75,10 +87,12 @@ const (
 	StructAuto = perfmodel.StructAuto
 )
 
-// ParseSpec maps the variant and structure names shared by the CLI and the
-// daemon's job specs onto their enums. Variants: "" or "blocked", "base" or
-// "baseline". Structures: "" or "csr", "dense", "hybrid" or "csr-h", "auto".
-func ParseSpec(variant, structure string) (Variant, Structure, error) {
+// ParseSpec maps the algo, variant and structure names shared by the CLI
+// and the daemon's job specs onto their enums. Algos: "" or "aoadmm" (the
+// variant picks the ADMM formulation), "als", "hals" (the variant is checked
+// but ignored). Variants: "" or "blocked", "base" or "baseline".
+// Structures: "" or "csr", "dense", "hybrid" or "csr-h", "auto".
+func ParseSpec(algo, variant, structure string) (Variant, Structure, error) {
 	var v Variant
 	switch variant {
 	case "", "blocked":
@@ -87,6 +101,15 @@ func ParseSpec(variant, structure string) (Variant, Structure, error) {
 		v = Baseline
 	default:
 		return 0, 0, fmt.Errorf("unknown variant %q (known: blocked, base)", variant)
+	}
+	switch algo {
+	case "", "aoadmm":
+	case "als":
+		v = ALS
+	case "hals":
+		v = HALS
+	default:
+		return 0, 0, fmt.Errorf("unknown algo %q (want aoadmm|als|hals)", algo)
 	}
 	var st Structure
 	switch structure {
@@ -122,7 +145,8 @@ type Options struct {
 	// Constraints holds one proximity operator per mode; a single-element
 	// slice is broadcast to all modes; nil means unconstrained.
 	Constraints []prox.Operator
-	// Variant selects baseline or blocked inner ADMM.
+	// Variant selects the block update: blocked or baseline inner ADMM, or
+	// the ALS or HALS baseline.
 	Variant Variant
 	// MaxOuterIters caps outer iterations (<= 0 means 200, the paper's cap).
 	MaxOuterIters int
@@ -162,9 +186,9 @@ type Options struct {
 	// sparse fiber trees, the default), "alto" (the adaptive linearized
 	// format of internal/alto), or "auto" (pick per tensor from the
 	// perfmodel kernel cost model). Out-of-core runs check the name, but the
-	// shard store's payload version picks the per-shard kernel (ALTO for
+	// shard store's payload version picks the streamed kernel (ALTO for
 	// key-ordered shards, CSF for the column layout). Any other name is an
-	// error — formats never fall back silently.
+	// error before any build — formats never fall back silently.
 	KernelFormat string
 	// EngineBuilder, when non-nil, constructs the in-memory MTTKRP engine
 	// in place of the KernelFormat build — a hook for wrapping the native
@@ -260,6 +284,12 @@ func (o *Options) fill(order int) error {
 	if o.Rank <= 0 {
 		return fmt.Errorf("core: Rank must be positive, got %d", o.Rank)
 	}
+	if o.Variant < Blocked || o.Variant > HALS {
+		return fmt.Errorf("core: unknown Variant %d", int(o.Variant))
+	}
+	if err := perfmodel.CheckKernelFormat(o.KernelFormat); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	cs, err := prox.Broadcast(o.Constraints, order)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -296,7 +326,7 @@ type Result struct {
 	Stopped bool
 	// Duals is the final per-mode scaled ADMM dual state, exposed so a
 	// service can checkpoint full resume state (factors + duals) at
-	// cancellation; nil for ALS/HALS runs, which carry no duals.
+	// cancellation; nil for the ALS and HALS variants, which carry no duals.
 	Duals []*dense.Matrix
 	// CheckpointErr is the error from the most recent checkpoint save (nil
 	// when the last save succeeded or checkpointing was off). A failed save
@@ -344,76 +374,57 @@ type sparseImage struct {
 // engineSpec bundles what the shared loop needs to know about the data
 // tensor without holding it: its shape, its norm, and how to compile the
 // MTTKRP engine that will stand in for it. build may fail — e.g. an ALTO
-// compile of a tensor too large to linearize, or an unknown format name.
+// compile of a tensor too large to linearize.
 type engineSpec struct {
 	dims   []int
 	normSq float64
 	build  func() (Engine, error)
 }
 
-// inMemorySpec checks an in-memory tensor — the shared preconditions of the
-// in-memory entry points — and describes it to the loop.
-func inMemorySpec(x *tensor.COO, opts Options) (engineSpec, error) {
+// Factorize runs the AO loop (Algorithm 2) on an in-memory tensor, with the
+// block update Options.Variant selects.
+func Factorize(x *tensor.COO, opts Options) (*Result, error) {
 	if x.Order() < 2 {
-		return engineSpec{}, fmt.Errorf("core: tensor must have >= 2 modes")
+		return nil, fmt.Errorf("core: tensor must have >= 2 modes")
 	}
 	if x.NNZ() == 0 {
-		return engineSpec{}, fmt.Errorf("core: empty tensor")
+		return nil, fmt.Errorf("core: empty tensor")
 	}
 	if err := x.Validate(); err != nil {
-		return engineSpec{}, fmt.Errorf("core: invalid tensor: %w", err)
+		return nil, fmt.Errorf("core: invalid tensor: %w", err)
 	}
-	return engineSpec{
+	return factorize(engineSpec{
 		dims:   x.Dims,
 		normSq: x.NormSq(),
 		build:  func() (Engine, error) { return newEngine(x, opts) },
-	}, nil
+	}, opts)
 }
 
-// oocSpec checks a sharded tensor — the shared preconditions of the
-// out-of-core entry points; the per-shard invariants were already checked by
-// ooc.Open — and describes it to the loop.
-func oocSpec(st *ooc.ShardedTensor, opts Options) (engineSpec, error) {
+// FactorizeOOC runs the AO loop on a sharded on-disk tensor, streaming shards
+// through the same loop as Factorize, for every Variant: per mode, shards are
+// loaded one at a time (prefetched ahead on a background goroutine) and each
+// one's product is added into the mode's MTTKRP by the kernel its payload
+// version selects. ExploitSparsity and SingleCSF are inert out-of-core —
+// there is no resident tree to image against. Shard I/O counters land in
+// Result.OOC and the metrics report. The per-shard invariants were already
+// checked by ooc.Open.
+func FactorizeOOC(st *ooc.ShardedTensor, opts Options) (*Result, error) {
 	if st == nil {
-		return engineSpec{}, fmt.Errorf("core: nil sharded tensor")
+		return nil, fmt.Errorf("core: nil sharded tensor")
 	}
 	if st.Order() < 2 {
-		return engineSpec{}, fmt.Errorf("core: tensor must have >= 2 modes")
+		return nil, fmt.Errorf("core: tensor must have >= 2 modes")
 	}
 	if st.NNZ() == 0 {
-		return engineSpec{}, fmt.Errorf("core: empty tensor")
+		return nil, fmt.Errorf("core: empty tensor")
 	}
-	return engineSpec{
+	return factorize(engineSpec{
 		dims:   st.Dims(),
 		normSq: st.NormSq(),
 		build: func() (Engine, error) {
-			return newOOCEngine(st, opts.MemBudgetBytes, opts.Tracer, opts.KernelFormat), nil
+			return newOOCEngine(st, opts.MemBudgetBytes, opts.Tracer), nil
 		},
-	}, nil
-}
-
-// Factorize runs AO-ADMM (Algorithm 2) on an in-memory tensor.
-func Factorize(x *tensor.COO, opts Options) (*Result, error) {
-	spec, err := inMemorySpec(x, opts)
-	if err != nil {
-		return nil, err
-	}
-	return factorize(spec, opts, admmStep)
-}
-
-// FactorizeOOC runs AO-ADMM on a sharded on-disk tensor, streaming shards
-// through the same outer loop as Factorize: per mode, shards are loaded one
-// at a time (prefetched ahead on a background goroutine) and each one's
-// product is added into the mode's MTTKRP by the kernel its payload version
-// selects. ExploitSparsity and SingleCSF are inert out-of-core — there is no
-// resident tree to image against. Shard I/O
-// counters land in Result.OOC and the metrics report.
-func FactorizeOOC(st *ooc.ShardedTensor, opts Options) (*Result, error) {
-	spec, err := oocSpec(st, opts)
-	if err != nil {
-		return nil, err
-	}
-	return factorize(spec, opts, admmStep)
+	}, opts)
 }
 
 // modeStep is the block update of the AO loop (Algorithm 2, lines 6/10/14):
@@ -493,9 +504,17 @@ func admmStep(opts *Options, dims []int, met *stats.Metrics, tel *par.Telemetry)
 	}, nil
 }
 
+// stepBuilders maps each Variant to the builder of its block update.
+var stepBuilders = [...]stepBuilder{
+	Blocked:  admmStep,
+	Baseline: admmStep,
+	ALS:      alsStep,
+	HALS:     halsStep,
+}
+
 // factorize is the engine-agnostic AO outer loop every solver runs;
-// newStep supplies the per-mode update.
-func factorize(spec engineSpec, opts Options, newStep stepBuilder) (*Result, error) {
+// Options.Variant picks the per-mode update.
+func factorize(spec engineSpec, opts Options) (*Result, error) {
 	order := len(spec.dims)
 	if err := opts.fill(order); err != nil {
 		return nil, err
@@ -537,7 +556,7 @@ func factorize(spec engineSpec, opts Options, newStep stepBuilder) (*Result, err
 	} else {
 		model = kruskal.Init(spec.dims, opts.Rank, opts.Seed, xNormSq, opts.Threads)
 	}
-	step, err := newStep(&opts, spec.dims, met, tel)
+	step, err := stepBuilders[opts.Variant](&opts, spec.dims, met, tel)
 	if err != nil {
 		return nil, err
 	}

@@ -103,7 +103,7 @@ func TestUnconstrainedMatchesALS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	als, err := FactorizeALS(x, ALSOptions{Rank: 5, Seed: 4, MaxOuterIters: 60})
+	als, err := Factorize(x, Options{Variant: ALS, Rank: 5, Seed: 4, MaxOuterIters: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +190,10 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Factorize(empty, Options{Rank: 2}); err == nil {
 		t.Fatal("empty tensor accepted")
 	}
-	if _, err := FactorizeALS(x, ALSOptions{Rank: 0}); err == nil {
+	if _, err := Factorize(x, Options{Variant: ALS, Rank: 0}); err == nil {
 		t.Fatal("ALS Rank=0 accepted")
 	}
-	if _, err := FactorizeALS(empty, ALSOptions{Rank: 2}); err == nil {
+	if _, err := Factorize(empty, Options{Variant: ALS, Rank: 2}); err == nil {
 		t.Fatal("ALS empty tensor accepted")
 	}
 }
@@ -243,13 +243,13 @@ func TestOnIterationEarlyStop(t *testing.T) {
 			return Factorize(x, Options{Rank: 4, Seed: 8, OnIteration: hook})
 		}},
 		{"als", func(hook func(stats.TracePoint) bool) (*Result, error) {
-			return FactorizeALS(x, ALSOptions{Rank: 4, Seed: 8, OnIteration: hook})
+			return Factorize(x, Options{Variant: ALS, Rank: 4, Seed: 8, OnIteration: hook})
 		}},
 		{"als-ooc", func(hook func(stats.TracePoint) bool) (*Result, error) {
-			return FactorizeALSOOC(st, ALSOptions{Rank: 4, Seed: 8, OnIteration: hook})
+			return FactorizeOOC(st, Options{Variant: ALS, Rank: 4, Seed: 8, OnIteration: hook})
 		}},
 		{"hals", func(hook func(stats.TracePoint) bool) (*Result, error) {
-			return FactorizeHALS(x, HALSOptions{Rank: 4, Seed: 8, OnIteration: hook})
+			return Factorize(x, Options{Variant: HALS, Rank: 4, Seed: 8, OnIteration: hook})
 		}},
 	}
 	for _, sv := range solvers {
@@ -291,7 +291,7 @@ func TestMaxTimeStops(t *testing.T) {
 
 func TestALSFitsPlantedData(t *testing.T) {
 	x := testTensor(t, 111)
-	res, err := FactorizeALS(x, ALSOptions{Rank: 6, Seed: 10, Ridge: 1e-8})
+	res, err := Factorize(x, Options{Variant: ALS, Rank: 6, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +334,10 @@ func TestRejectsNonFiniteTensor(t *testing.T) {
 	if _, err := Factorize(x, Options{Rank: 3}); err == nil {
 		t.Fatal("NaN tensor accepted by Factorize")
 	}
-	if _, err := FactorizeALS(x, ALSOptions{Rank: 3}); err == nil {
+	if _, err := Factorize(x, Options{Variant: ALS, Rank: 3}); err == nil {
 		t.Fatal("NaN tensor accepted by ALS")
 	}
-	if _, err := FactorizeHALS(x, HALSOptions{Rank: 3}); err == nil {
+	if _, err := Factorize(x, Options{Variant: HALS, Rank: 3}); err == nil {
 		t.Fatal("NaN tensor accepted by HALS")
 	}
 }

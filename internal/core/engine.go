@@ -171,11 +171,10 @@ type oocEngine struct {
 	st     *ooc.ShardedTensor
 	stats  ooc.StreamStats
 	budget int64
-	format string // Options.KernelFormat, checked by the stream
 }
 
-func newOOCEngine(st *ooc.ShardedTensor, budgetBytes int64, tr *obs.Tracer, format string) *oocEngine {
-	e := &oocEngine{st: st, budget: budgetBytes, format: format}
+func newOOCEngine(st *ooc.ShardedTensor, budgetBytes int64, tr *obs.Tracer) *oocEngine {
+	e := &oocEngine{st: st, budget: budgetBytes}
 	e.stats.Trace = tr
 	return e
 }
@@ -183,7 +182,7 @@ func newOOCEngine(st *ooc.ShardedTensor, budgetBytes int64, tr *obs.Tracer, form
 func (e *oocEngine) LeafTree(int) *csf.Tensor { return nil }
 
 func (e *oocEngine) MTTKRP(m int, factors []*dense.Matrix, k *dense.Matrix, leaf mttkrp.LeafFactor, mo mttkrp.Options) error {
-	return e.st.MTTKRPKernel(e.format, m, factors, k, nil, mo, &e.stats)
+	return e.st.MTTKRP(m, factors, k, nil, mo, &e.stats)
 }
 
 func (e *oocEngine) OOCReport() *stats.OOCReport {

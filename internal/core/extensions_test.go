@@ -92,25 +92,32 @@ func TestStructAutoMatchesDense(t *testing.T) {
 
 func TestParseSpec(t *testing.T) {
 	for _, c := range []struct {
-		variant, structure string
-		v                  Variant
-		s                  Structure
+		algo, variant, structure string
+		v                        Variant
+		s                        Structure
 	}{
-		{"", "", Blocked, StructCSR},
-		{"blocked", "csr", Blocked, StructCSR},
-		{"base", "dense", Baseline, StructDense},
-		{"baseline", "hybrid", Baseline, StructHybrid},
-		{"blocked", "csr-h", Blocked, StructHybrid},
-		{"blocked", "auto", Blocked, StructAuto},
+		{"", "", "", Blocked, StructCSR},
+		{"aoadmm", "blocked", "csr", Blocked, StructCSR},
+		{"", "base", "dense", Baseline, StructDense},
+		{"", "baseline", "hybrid", Baseline, StructHybrid},
+		{"", "blocked", "csr-h", Blocked, StructHybrid},
+		{"", "blocked", "auto", Blocked, StructAuto},
+		{"als", "base", "", ALS, StructCSR},
+		{"hals", "", "dense", HALS, StructDense},
 	} {
-		v, s, err := ParseSpec(c.variant, c.structure)
+		v, s, err := ParseSpec(c.algo, c.variant, c.structure)
 		if err != nil || v != c.v || s != c.s {
-			t.Errorf("ParseSpec(%q, %q) = %v, %v, %v; want %v, %v", c.variant, c.structure, v, s, err, c.v, c.s)
+			t.Errorf("ParseSpec(%q, %q, %q) = %v, %v, %v; want %v, %v", c.algo, c.variant, c.structure, v, s, err, c.v, c.s)
 		}
 	}
-	for _, c := range [][3]string{{"blokced", "csr", "blokced"}, {"blocked", "sparse", "sparse"}} {
-		if _, _, err := ParseSpec(c[0], c[1]); err == nil || !strings.Contains(err.Error(), c[2]) {
-			t.Errorf("ParseSpec(%q, %q) err = %v, want one naming %q", c[0], c[1], err, c[2])
+	for _, c := range [][4]string{
+		{"", "blokced", "csr", "blokced"},
+		{"", "blocked", "sparse", "sparse"},
+		{"quantum", "blocked", "csr", "quantum"},
+		{"als", "blokced", "csr", "blokced"},
+	} {
+		if _, _, err := ParseSpec(c[0], c[1], c[2]); err == nil || !strings.Contains(err.Error(), c[3]) {
+			t.Errorf("ParseSpec(%q, %q, %q) err = %v, want one naming %q", c[0], c[1], c[2], err, c[3])
 		}
 	}
 }

@@ -1,74 +1,20 @@
 package core
 
 import (
-	"context"
-
 	"aoadmm/internal/dense"
-	"aoadmm/internal/obs"
 	"aoadmm/internal/par"
 	"aoadmm/internal/stats"
-	"aoadmm/internal/tensor"
 )
 
-// HALSOptions configures the non-negative CP-HALS baseline.
-type HALSOptions struct {
-	// Rank is the CPD rank (required, > 0).
-	Rank int
-	// MaxOuterIters caps outer iterations (<= 0 means 200).
-	MaxOuterIters int
-	// Tol is the relative-error improvement threshold (<= 0 means 1e-6).
-	Tol float64
-	// Threads is the worker count (<= 0 means GOMAXPROCS).
-	Threads int
-	// Seed drives factor initialization.
-	Seed int64
-	// CollectMetrics enables fine-grained per-mode kernel timers, scheduler
-	// telemetry, and the density timeline on Result.Metrics.
-	CollectMetrics bool
-	// Ctx, when non-nil, stops the run at the next outer-iteration boundary
-	// once done; the current iterate is returned with Stopped set.
-	Ctx context.Context
-	// OnIteration, when non-nil, is invoked after every outer iteration
-	// with the current trace point. Returning false stops the run.
-	OnIteration func(stats.TracePoint) bool
-	// Tracer, when non-nil, records outer-iteration, kernel, and scheduler
-	// spans exactly as Options.Tracer does for AO-ADMM runs.
-	Tracer *obs.Tracer
-	// KernelFormat selects the MTTKRP backend exactly as Options.KernelFormat
-	// does for AO-ADMM runs: "", "csf", "alto", or "auto"; unknown names
-	// fail loudly.
-	KernelFormat string
-}
-
-// options maps the HALS settings onto the shared loop's options.
-func (o HALSOptions) options() Options {
-	return Options{
-		Rank: o.Rank, MaxOuterIters: o.MaxOuterIters, Tol: o.Tol, Threads: o.Threads,
-		Seed: o.Seed, CollectMetrics: o.CollectMetrics, Ctx: o.Ctx,
-		OnIteration: o.OnIteration, Tracer: o.Tracer, KernelFormat: o.KernelFormat,
-	}
-}
-
-// FactorizeHALS computes a non-negative CPD with hierarchical alternating
-// least squares (Cichocki & Phan — the paper's related work [5]): each
-// factor column is updated in closed form,
+// halsStep is the HALS variant's update (Cichocki & Phan — the paper's
+// related work [5]), the classical fast local method for non-negative
+// factorizations: one halsUpdate sweep over the mode's columns,
 //
 //	A(:,f) ← max(0, A(:,f) + (K(:,f) − A·G(:,f)) / G(f,f)),
 //
-// where K is the mode's MTTKRP and G the Hadamard Gram product. HALS is the
-// classical fast local method for non-negative factorizations and serves as
-// an algorithmic baseline for AO-ADMM: both share the MTTKRP/Gram substrate,
-// so their convergence per unit work is directly comparable.
-func FactorizeHALS(x *tensor.COO, opts HALSOptions) (*Result, error) {
-	o := opts.options()
-	spec, err := inMemorySpec(x, o)
-	if err != nil {
-		return nil, err
-	}
-	return factorize(spec, o, halsStep)
-}
-
-// halsStep is the HALS update: one halsUpdate sweep over the mode's columns.
+// where K is the mode's MTTKRP and G the Hadamard Gram product. It shares
+// the MTTKRP/Gram substrate with AO-ADMM, so their convergence per unit work
+// is directly comparable.
 func halsStep(opts *Options, _ []int, _ *stats.Metrics, tel *par.Telemetry) (modeStep, error) {
 	return modeStep{
 		solver: "HALS ",

@@ -9,7 +9,7 @@ import (
 
 func TestHALSConvergesOnPlantedData(t *testing.T) {
 	x := testTensor(t, 420)
-	res, err := FactorizeHALS(x, HALSOptions{Rank: 6, Seed: 1})
+	res, err := Factorize(x, Options{Variant: HALS, Rank: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestHALSConvergesOnPlantedData(t *testing.T) {
 
 func TestHALSComparableToAOADMM(t *testing.T) {
 	x := testTensor(t, 421)
-	hals, err := FactorizeHALS(x, HALSOptions{Rank: 5, Seed: 2, MaxOuterIters: 60})
+	hals, err := Factorize(x, Options{Variant: HALS, Rank: 5, Seed: 2, MaxOuterIters: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestHALSComparableToAOADMM(t *testing.T) {
 
 func TestHALSErrorNearMonotone(t *testing.T) {
 	x := testTensor(t, 422)
-	res, err := FactorizeHALS(x, HALSOptions{Rank: 4, Seed: 3, MaxOuterIters: 40})
+	res, err := Factorize(x, Options{Variant: HALS, Rank: 4, Seed: 3, MaxOuterIters: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +66,18 @@ func TestHALSErrorNearMonotone(t *testing.T) {
 
 func TestHALSValidation(t *testing.T) {
 	x := testTensor(t, 423)
-	if _, err := FactorizeHALS(x, HALSOptions{Rank: 0}); err == nil {
+	if _, err := Factorize(x, Options{Variant: HALS, Rank: 0}); err == nil {
 		t.Fatal("Rank=0 accepted")
 	}
 }
 
 func TestHALSParallelConsistent(t *testing.T) {
 	x := testTensor(t, 424)
-	a, err := FactorizeHALS(x, HALSOptions{Rank: 4, Seed: 4, MaxOuterIters: 10, Threads: 1})
+	a, err := Factorize(x, Options{Variant: HALS, Rank: 4, Seed: 4, MaxOuterIters: 10, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FactorizeHALS(x, HALSOptions{Rank: 4, Seed: 4, MaxOuterIters: 10, Threads: 3})
+	b, err := Factorize(x, Options{Variant: HALS, Rank: 4, Seed: 4, MaxOuterIters: 10, Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

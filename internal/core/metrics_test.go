@@ -148,8 +148,8 @@ func TestFactorizeMetricsDoNotPerturbResult(t *testing.T) {
 
 func TestALSCollectMetrics(t *testing.T) {
 	x := testTensor(t, 144)
-	res, err := FactorizeALS(x, ALSOptions{
-		Rank: 4, MaxOuterIters: 4, Threads: 2, Seed: 1, Ridge: 1e-10,
+	res, err := Factorize(x, Options{Variant: ALS,
+		Rank: 4, MaxOuterIters: 4, Threads: 2, Seed: 1,
 		CollectMetrics: true,
 	})
 	if err != nil {
@@ -169,7 +169,7 @@ func TestALSCollectMetrics(t *testing.T) {
 
 func TestHALSCollectMetrics(t *testing.T) {
 	x := testTensor(t, 145)
-	res, err := FactorizeHALS(x, HALSOptions{
+	res, err := Factorize(x, Options{Variant: HALS,
 		Rank: 4, MaxOuterIters: 4, Threads: 2, Seed: 1,
 		CollectMetrics: true,
 	})

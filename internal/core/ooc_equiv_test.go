@@ -105,9 +105,17 @@ func TestFactorizeOOCMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestFactorizeALSOOCMatchesInMemory is the same equivalence check for the
+// TestALSOOCMatchesInMemory is the same equivalence check for the
 // unconstrained ALS baseline.
-func TestFactorizeALSOOCMatchesInMemory(t *testing.T) {
+func TestALSOOCMatchesInMemory(t *testing.T) { checkOOCParity(t, ALS) }
+
+// TestHALSOOCMatchesInMemory is the same equivalence check for the
+// non-negative HALS baseline, which streams through the same engine.
+func TestHALSOOCMatchesInMemory(t *testing.T) { checkOOCParity(t, HALS) }
+
+// checkOOCParity runs variant in memory and out-of-core from the same seed
+// and requires the same iteration count and relerr within 1e-9.
+func checkOOCParity(t *testing.T, variant Variant) {
 	for _, ds := range equivDatasets {
 		t.Run(ds.name, func(t *testing.T) {
 			coo, err := tensor.Uniform(ds.gen)
@@ -116,21 +124,22 @@ func TestFactorizeALSOOCMatchesInMemory(t *testing.T) {
 			}
 			st, budget := shardedFor(t, coo)
 
-			opts := ALSOptions{
+			opts := Options{
+				Variant:       variant,
 				Rank:          4,
 				MaxOuterIters: 8,
 				Tol:           1e-15,
 				Threads:       1,
 				Seed:          5,
 			}
-			mem, err := FactorizeALS(coo, opts)
+			mem, err := Factorize(coo, opts)
 			if err != nil {
-				t.Fatalf("FactorizeALS: %v", err)
+				t.Fatalf("Factorize: %v", err)
 			}
 			opts.MemBudgetBytes = budget
-			oocRes, err := FactorizeALSOOC(st, opts)
+			oocRes, err := FactorizeOOC(st, opts)
 			if err != nil {
-				t.Fatalf("FactorizeALSOOC: %v", err)
+				t.Fatalf("FactorizeOOC: %v", err)
 			}
 			if mem.OuterIters != oocRes.OuterIters {
 				t.Fatalf("iteration counts diverged: %d vs %d", mem.OuterIters, oocRes.OuterIters)
@@ -151,7 +160,7 @@ func TestFactorizeOOCValidation(t *testing.T) {
 	if _, err := FactorizeOOC(nil, Options{Rank: 2}); err == nil {
 		t.Fatal("nil sharded tensor must be rejected")
 	}
-	if _, err := FactorizeALSOOC(nil, ALSOptions{Rank: 2}); err == nil {
+	if _, err := FactorizeOOC(nil, Options{Variant: ALS, Rank: 2}); err == nil {
 		t.Fatal("nil sharded tensor must be rejected (ALS)")
 	}
 }

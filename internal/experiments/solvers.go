@@ -24,47 +24,30 @@ func Solvers(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		type runout struct {
-			name string
-			res  *core.Result
-		}
-		var runs []runout
-
-		ao, err := core.Factorize(x, core.Options{
-			Rank:          cfg.Rank,
-			Constraints:   []prox.Operator{prox.NonNegative{}},
-			MaxOuterIters: cfg.MaxOuter,
-			InnerMaxIters: cfg.InnerMaxIters,
-			Threads:       cfg.Threads,
-			Seed:          1,
-		})
-		if err != nil {
-			return fmt.Errorf("solvers %s aoadmm: %w", name, err)
-		}
-		runs = append(runs, runout{"aoadmm-blocked", ao})
-
-		hals, err := core.FactorizeHALS(x, core.HALSOptions{
-			Rank: cfg.Rank, MaxOuterIters: cfg.MaxOuter, Threads: cfg.Threads, Seed: 1,
-		})
-		if err != nil {
-			return fmt.Errorf("solvers %s hals: %w", name, err)
-		}
-		runs = append(runs, runout{"hals", hals})
-
-		als, err := core.FactorizeALS(x, core.ALSOptions{
-			Rank: cfg.Rank, MaxOuterIters: cfg.MaxOuter, Threads: cfg.Threads, Seed: 1, Ridge: 1e-10,
-		})
-		if err != nil {
-			return fmt.Errorf("solvers %s als: %w", name, err)
-		}
-		runs = append(runs, runout{"als-unconstrained", als})
-
-		for _, r := range runs {
-			final := r.res.Trace.Final()
-			tbl.AddRow(name, r.name,
-				fmt.Sprintf("%.4f", r.res.RelErr),
-				fmt.Sprintf("%d", r.res.OuterIters),
-				fmt.Sprintf("%.2f", final.Elapsed.Seconds()))
+		for _, sv := range []struct {
+			name    string
+			variant core.Variant
+		}{
+			{"aoadmm-blocked", core.Blocked},
+			{"hals", core.HALS},
+			{"als-unconstrained", core.ALS},
+		} {
+			res, err := core.Factorize(x, core.Options{
+				Rank:          cfg.Rank,
+				Variant:       sv.variant,
+				Constraints:   []prox.Operator{prox.NonNegative{}},
+				MaxOuterIters: cfg.MaxOuter,
+				InnerMaxIters: cfg.InnerMaxIters,
+				Threads:       cfg.Threads,
+				Seed:          1,
+			})
+			if err != nil {
+				return fmt.Errorf("solvers %s %s: %w", name, sv.variant, err)
+			}
+			tbl.AddRow(name, sv.name,
+				fmt.Sprintf("%.4f", res.RelErr),
+				fmt.Sprintf("%d", res.OuterIters),
+				fmt.Sprintf("%.2f", res.Trace.Final().Elapsed.Seconds()))
 		}
 	}
 	fmt.Fprintf(cfg.Out, "\n== Solver comparison (extension): non-negative CPD at rank %d ==\n", cfg.Rank)

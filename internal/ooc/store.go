@@ -1,9 +1,11 @@
 package ooc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -113,56 +115,104 @@ func (s *ShardedTensor) LoadShard(i int) (*tensor.COO, error) {
 }
 
 // loadALTO reads, CRC-verifies and decodes VersionALTO shard i straight into
-// an ALTO tensor, ready for the kernel.
+// an ALTO tensor, ready for the kernel. Keys and values are decoded from the
+// file through one fixed buffer that also feeds the CRC, so the payload is
+// never held whole beside them.
 func (s *ShardedTensor) loadALTO(i int) (*alto.Tensor, error) {
-	raw, err := s.readShard(i)
+	f, err := s.openShard(i)
 	if err != nil {
 		return nil, err
 	}
-	return decodeALTOShard(raw, s.layout, s.h.Shards[i], i)
+	defer f.Close()
+	info := s.h.Shards[i]
+	p := newPayloadReader(f, s.h.shardPayloadBytes(info.NNZ))
+	lo, hi, vals := readALTOPayload(p, s.layout.Words(), int(info.NNZ))
+	if p.err != nil {
+		return nil, fmt.Errorf("ooc: shard %d: %w", i, p.err)
+	}
+	if err := s.checkCRC(i, p.crc); err != nil {
+		return nil, err
+	}
+	return buildALTOShard(s.layout, lo, hi, vals, info, i)
 }
 
-// readShard reads shard i's payload and checks its length and CRC.
-func (s *ShardedTensor) readShard(i int) ([]byte, error) {
+// openShard opens shard i's payload file and checks its length.
+func (s *ShardedTensor) openShard(i int) (*os.File, error) {
 	if i < 0 || i >= len(s.h.Shards) {
 		return nil, fmt.Errorf("ooc: shard %d out of range [0, %d)", i, len(s.h.Shards))
 	}
-	info := s.h.Shards[i]
-	raw, err := os.ReadFile(filepath.Join(s.dir, ShardFileName(i)))
+	f, err := os.Open(filepath.Join(s.dir, ShardFileName(i)))
 	if err != nil {
 		return nil, fmt.Errorf("ooc: %w", err)
 	}
-	if want := s.h.shardPayloadBytes(info.NNZ); int64(len(raw)) != want {
-		return nil, fmt.Errorf("ooc: shard %d is %d bytes, want %d (torn write?)", i, len(raw), want)
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("ooc: %w", err)
 	}
-	if sum := crc32.ChecksumIEEE(raw); sum != info.CRC {
-		return nil, fmt.Errorf("ooc: shard %d CRC mismatch (stored %08x, computed %08x)", i, info.CRC, sum)
+	if want := s.h.shardPayloadBytes(s.h.Shards[i].NNZ); fi.Size() != want {
+		f.Close()
+		return nil, fmt.Errorf("ooc: shard %d is %d bytes, want %d (torn write?)", i, fi.Size(), want)
+	}
+	return f, nil
+}
+
+// checkCRC compares a shard payload's computed CRC with the header's.
+func (s *ShardedTensor) checkCRC(i int, sum uint32) error {
+	if stored := s.h.Shards[i].CRC; sum != stored {
+		return fmt.Errorf("ooc: shard %d CRC mismatch (stored %08x, computed %08x)", i, stored, sum)
+	}
+	return nil
+}
+
+// readShard reads shard i's payload whole and checks its length and CRC.
+func (s *ShardedTensor) readShard(i int) ([]byte, error) {
+	f, err := s.openShard(i)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	raw := make([]byte, s.h.shardPayloadBytes(s.h.Shards[i].NNZ))
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, fmt.Errorf("ooc: shard %d: %w", i, err)
+	}
+	if err := s.checkCRC(i, crc32.ChecksumIEEE(raw)); err != nil {
+		return nil, err
 	}
 	return raw, nil
 }
 
-// decodeALTOShard parses a VersionALTO payload of info.NNZ non-zeros. The
-// keys and values are decoded into fresh slices that the tensor then owns;
+// decodeALTOShard parses a VersionALTO payload of info.NNZ non-zeros held
+// in memory, through loadALTO's decode and checks other than the CRC.
+func decodeALTOShard(raw []byte, l *alto.Layout, info ShardInfo, shard int) (*alto.Tensor, error) {
+	nnz := int(info.NNZ)
+	if want := nnz * (8*l.Words() + 8); len(raw) != want {
+		return nil, fmt.Errorf("ooc: shard %d payload is %d bytes, want %d", shard, len(raw), want)
+	}
+	lo, hi, vals := readALTOPayload(newPayloadReader(bytes.NewReader(raw), int64(len(raw))), l.Words(), nnz)
+	return buildALTOShard(l, lo, hi, vals, info, shard)
+}
+
+// readALTOPayload decodes a VersionALTO payload of nnz non-zeros into fresh
+// slices: the low key words, the high ones for two-word layouts, then the
+// values. A read error sticks in p.err.
+func readALTOPayload(p *payloadReader, words, nnz int) (lo, hi []uint64, vals []float64) {
+	lo = make([]uint64, nnz)
+	p.uint64s(lo)
+	if words == 2 {
+		hi = make([]uint64, nnz)
+		p.uint64s(hi)
+	}
+	vals = make([]float64, nnz)
+	p.float64s(vals)
+	return lo, hi, vals
+}
+
+// buildALTOShard wraps decoded keys and values, which the tensor then owns.
 // alto.FromSorted checks key order, every mode's index against the dims and
 // every value's finiteness in one pass that also records the interval
 // bounds, and those bounds check mode 0 against the shard's [Lo, Hi).
-func decodeALTOShard(raw []byte, l *alto.Layout, info ShardInfo, shard int) (*alto.Tensor, error) {
-	nnz := int(info.NNZ)
-	words := l.Words()
-	if len(raw) != nnz*(8*words+8) {
-		return nil, fmt.Errorf("ooc: shard %d payload is %d bytes, want %d", shard, len(raw), nnz*(8*words+8))
-	}
-	lo := decodeUint64s(raw, nnz)
-	raw = raw[8*nnz:]
-	var hi []uint64
-	if words == 2 {
-		hi = decodeUint64s(raw, nnz)
-		raw = raw[8*nnz:]
-	}
-	vals := make([]float64, nnz)
-	for p := range vals {
-		vals[p] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*p:]))
-	}
+func buildALTOShard(l *alto.Layout, lo, hi []uint64, vals []float64, info ShardInfo, shard int) (*alto.Tensor, error) {
 	t, err := alto.FromSorted(l, lo, hi, vals)
 	if err != nil {
 		return nil, fmt.Errorf("ooc: shard %d: %w", shard, err)
@@ -176,13 +226,58 @@ func decodeALTOShard(raw []byte, l *alto.Layout, info ShardInfo, shard int) (*al
 	return t, nil
 }
 
-// decodeUint64s decodes the first n little-endian uint64 words of raw.
-func decodeUint64s(raw []byte, n int) []uint64 {
-	out := make([]uint64, n)
-	for p := range out {
-		out[p] = binary.LittleEndian.Uint64(raw[8*p:])
+// payloadReader reads a payload through a fixed-size buffer and keeps its
+// CRC — the mirror of payloadWriter.
+type payloadReader struct {
+	r   io.Reader
+	buf []byte // fixed length, a whole number of 8-byte words
+	crc uint32
+	err error
+}
+
+// newPayloadReader sizes the buffer to 64 KiB, or to a smaller payload.
+func newPayloadReader(r io.Reader, size int64) *payloadReader {
+	return &payloadReader{r: r, buf: make([]byte, min(1<<16, size)&^7)}
+}
+
+// next reads the bytes of up to want words, as many as the buffer holds.
+// The first read error sticks and makes every later call return nil.
+func (p *payloadReader) next(want int) []byte {
+	if p.err != nil {
+		return nil
 	}
-	return out
+	b := p.buf[:8*min(want, len(p.buf)/8)]
+	if _, p.err = io.ReadFull(p.r, b); p.err != nil {
+		return nil
+	}
+	p.crc = crc32.Update(p.crc, crc32.IEEETable, b)
+	return b
+}
+
+func (p *payloadReader) uint64s(xs []uint64) {
+	for len(xs) > 0 {
+		b := p.next(len(xs))
+		if b == nil {
+			return
+		}
+		for i := range len(b) / 8 {
+			xs[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+		xs = xs[len(b)/8:]
+	}
+}
+
+func (p *payloadReader) float64s(xs []float64) {
+	for len(xs) > 0 {
+		b := p.next(len(xs))
+		if b == nil {
+			return
+		}
+		for i := range len(b) / 8 {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		xs = xs[len(b)/8:]
+	}
 }
 
 // decodeShard parses a verified VersionColumns payload into a COO,

@@ -141,8 +141,8 @@ type prefetched struct {
 }
 
 // MTTKRP computes the full matricized-tensor-times-Khatri-Rao product for
-// one mode by streaming shards. It is shorthand for MTTKRPKernel with format
-// "csf".
+// one mode by streaming shards, each through the kernel the store's payload
+// version selects (see MTTKRPKernel).
 func (s *ShardedTensor) MTTKRP(mode int, factors []*dense.Matrix, out, scratch *dense.Matrix, mo mttkrp.Options, st *StreamStats) error {
 	return s.MTTKRPKernel("csf", mode, factors, out, scratch, mo, st)
 }

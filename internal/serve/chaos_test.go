@@ -438,6 +438,81 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryResumesALSFromCheckpoint crashes an ALS job after its
+// first checkpoint (factors only: ALS carries no duals) and restarts the
+// daemon: the job resumes, and its model holds bit for bit the factors of
+// an uninterrupted single-threaded run.
+func TestCrashRecoveryResumesALSFromCheckpoint(t *testing.T) {
+	spec := JobSpec{
+		TensorPath:      testTNS(t, []int{40, 40, 40}, 20000, 78),
+		Algo:            "als",
+		Rank:            4,
+		MaxOuterIters:   60,
+		Tol:             1e-300,
+		Threads:         1,
+		Seed:            5,
+		CheckpointEvery: 1,
+	}
+
+	refMgr := newChaosManager(t, t.TempDir(), nil, ManagerConfig{Workers: 1})
+	refView, err := refMgr.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := pollManagerJob(t, refMgr, refView.ID, JobDone, 300*time.Second)
+	refModel, ok := refMgr.reg.Get(ref.ModelID)
+	if !ok || ref.OuterIters != 60 {
+		t.Fatalf("reference run: %+v", ref)
+	}
+
+	dataDir := t.TempDir()
+	m := newChaosManager(t, dataDir, nil, ManagerConfig{Workers: 1})
+	v, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckptFile := filepath.Join(dataDir, "checkpoints", v.ID, "checkpoint.json")
+	stop := time.Now().Add(120 * time.Second)
+	for {
+		if _, err := os.Stat(ckptFile); err == nil {
+			break
+		}
+		if time.Now().After(stop) {
+			t.Fatal("no checkpoint ever appeared")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.Crash()
+	if j, _ := m.Get(v.ID); JobStatus(j.View().Status) == JobDone {
+		t.Skip("job finished before the crash landed; no resume to test")
+	}
+
+	m2 := newChaosManager(t, dataDir, nil, ManagerConfig{Workers: 1})
+	if rec := m2.Recovery(); rec.Resumed != 1 {
+		t.Fatalf("recovery %+v, want exactly one resumed job", rec)
+	}
+	done := pollManagerJob(t, m2, v.ID, JobDone, 300*time.Second)
+	if done.ResumedFromIter < 1 || done.OuterIters != 60 {
+		t.Fatalf("job did not resume to iteration 60: %+v", done)
+	}
+	// The resumed attempt's density timeline starts after the checkpoint.
+	if rep := m2.Reports()[v.ID]; rep == nil || len(rep.Sparsity) == 0 || rep.Sparsity[0].Outer != done.ResumedFromIter+1 {
+		t.Fatalf("resumed run did not start at iteration %d: %+v", done.ResumedFromIter+1, rep)
+	}
+	got, ok := m2.reg.Get(done.ModelID)
+	if !ok {
+		t.Fatalf("resumed job's model %s not registered", done.ModelID)
+	}
+	for mode, f := range got.K.Factors {
+		want := refModel.K.Factors[mode]
+		for i := range f.Data {
+			if math.Float64bits(f.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("mode %d entry %d: resumed %v, uninterrupted %v", mode, i, f.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
 // TestChaosServerCrashRecoveryOverHTTP drives the same crash through the
 // HTTP surface, checking /metrics reports the recovery and the finished job.
 func TestChaosServerCrashRecoveryOverHTTP(t *testing.T) {

@@ -60,18 +60,21 @@ type JobSpec struct {
 	// MemBudgetMB caps the working memory of the factorization in MiB
 	// (0 = unlimited). When the tensor's estimated in-memory footprint
 	// exceeds the budget, the job is converted to shards under the data dir
-	// and executed out-of-core. aoadmm and als only.
+	// and executed out-of-core.
 	MemBudgetMB int64 `json:"mem_budget_mb,omitempty"`
 	// Name optionally labels the resulting model.
 	Name string `json:"name,omitempty"`
-	// Algo selects the solver: aoadmm (default) | als | hals.
+	// Algo selects the solver: aoadmm (default) | als | hals. Algo, Variant
+	// and Structure are parsed together by core.ParseSpec, as the CLI's
+	// flags are.
 	Algo string `json:"algo,omitempty"`
 	// Rank is the CPD rank (required, > 0).
 	Rank int `json:"rank"`
 	// Constraint is a CLI-style spec ("nonneg", "nonneg+l1:0.1", ...;
 	// ";"-separated for per-mode). Empty means unconstrained. AO-ADMM only.
 	Constraint string `json:"constraint,omitempty"`
-	// Variant is blocked (default) | base. AO-ADMM only.
+	// Variant is blocked (default) | base. Checked for every algo, used by
+	// AO-ADMM only.
 	Variant string `json:"variant,omitempty"`
 	// MaxOuterIters, Tol, Threads, BlockSize, Seed mirror core.Options
 	// (zero values mean the library defaults).
@@ -81,14 +84,16 @@ type JobSpec struct {
 	BlockSize     int     `json:"block_size,omitempty"`
 	Seed          int64   `json:"seed,omitempty"`
 	// ExploitSparsity enables §IV-C factor compression; Structure picks
-	// dense|csr|hybrid|auto (default csr; names as core.ParseSpec).
-	// AdaptiveRho enables per-block rho rebalancing. AO-ADMM only.
+	// dense|csr|hybrid|auto (default csr). Both shape the MTTKRP of every
+	// algo. AdaptiveRho enables per-block rho rebalancing, AO-ADMM only.
 	ExploitSparsity bool   `json:"exploit_sparsity,omitempty"`
 	Structure       string `json:"structure,omitempty"`
 	AdaptiveRho     bool   `json:"adaptive_rho,omitempty"`
-	// Format selects the MTTKRP kernel backend: csf (default) | alto | auto
-	// (cost-model selection per tensor, or per shard when out-of-core).
-	// In-process solvers only; distributed workers pick their own format.
+	// Format selects the in-memory MTTKRP kernel backend: csf (default) |
+	// alto | auto (cost-model selection per tensor). Out-of-core runs check
+	// the name, but the shard store's payload version picks the streamed
+	// kernel. In-process solvers only; distributed workers pick their own
+	// format.
 	Format string `json:"format,omitempty"`
 	// CollectMetrics records an aoadmm-metrics/v1 report served at /metrics
 	// once the job finishes. Defaults to true; set to false explicitly to
@@ -97,7 +102,8 @@ type JobSpec struct {
 	CollectMetrics *bool `json:"collect_metrics,omitempty"`
 	// CheckpointEvery is the checkpoint interval in outer iterations
 	// (default 5). Checkpoints make cancellation, daemon shutdown, and crash
-	// recovery lossless.
+	// recovery lossless, for every algo (ALS and HALS checkpoints hold
+	// factors only).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// DistWorkers > 1 runs the job on the networked distributed engine
 	// across up to that many connected workers (the daemon must run with
@@ -123,8 +129,8 @@ type JobSpec struct {
 	// out of core), the solver warm-starts from the live head's factors and
 	// scaled duals, and the result registers as the next version. The
 	// dataset/tensor_path, rank, constraint, and algo fields are inherited
-	// from the lineage and must be unset; max_outer, tol, threads,
-	// block_size, checkpoint_every, and timeout_sec still override.
+	// from the lineage and must be unset; refitSpec lists which of the
+	// other fields override the lineage's and which are inherited.
 	RefitModelID string `json:"refit_model_id,omitempty"`
 }
 
@@ -180,8 +186,6 @@ func (s *JobSpec) validate() error {
 		case fi.IsDir() && !ooc.IsShardDir(s.TensorPath):
 			return fmt.Errorf("tensor_path %q is a directory but not a shard store (no %s)",
 				s.TensorPath, ooc.HeaderFileName)
-		case fi.IsDir() && s.Algo == "hals":
-			return fmt.Errorf("algo hals does not support out-of-core execution (sharded tensor_path)")
 		}
 	}
 	if s.Rank <= 0 {
@@ -193,12 +197,8 @@ func (s *JobSpec) validate() error {
 	if s.MemBudgetMB < 0 {
 		return fmt.Errorf("mem_budget_mb must be >= 0, got %d", s.MemBudgetMB)
 	}
-	switch s.Algo {
-	case "", "aoadmm", "als", "hals":
-	default:
-		return fmt.Errorf("unknown algo %q (want aoadmm|als|hals)", s.Algo)
-	}
-	if _, _, err := core.ParseSpec(s.Variant, s.Structure); err != nil {
+	variant, _, err := core.ParseSpec(s.Algo, s.Variant, s.Structure)
+	if err != nil {
 		return err
 	}
 	if err := perfmodel.CheckKernelFormat(s.Format); err != nil {
@@ -225,11 +225,13 @@ func (s *JobSpec) validate() error {
 		// The networked engine implements exactly the blocked AO-ADMM path
 		// the paper distributes; everything else must fail at submission,
 		// not after burning attempts.
-		switch {
-		case s.Algo != "" && s.Algo != "aoadmm":
+		switch variant {
+		case core.ALS, core.HALS:
 			return fmt.Errorf("dist_workers requires algo aoadmm, got %q", s.Algo)
-		case s.Variant == "base" || s.Variant == "baseline":
+		case core.Baseline:
 			return fmt.Errorf("dist_workers requires the blocked variant (the baseline needs per-inner-iteration allreduces)")
+		}
+		switch {
 		case s.ExploitSparsity:
 			return fmt.Errorf("dist_workers does not support exploit_sparsity")
 		case s.AdaptiveRho:
@@ -1183,27 +1185,23 @@ func (m *Manager) executeAttempt(ctx context.Context, jobID string, attempt int,
 }
 
 // execute loads the input tensor and runs the requested solver with the
-// job's cancellation context, checkpointing, and (for AO-ADMM) any recovered
-// resume state wired in. When the input is a shard directory — or the memory
-// budget admits it out-of-core — the streaming engines run instead, and the
-// shard I/O counters are folded into the daemon-wide aggregates.
+// job's cancellation context, checkpointing, and any recovered resume state
+// wired in. When the input is a shard directory — or the memory budget admits
+// it out-of-core — the streaming engine runs instead, and the shard I/O
+// counters are folded into the daemon-wide aggregates.
 func (m *Manager) execute(ctx context.Context, jobID string, attempt int, spec JobSpec, resume *kruskal.Checkpoint) (*core.Result, error) {
+	var res *core.Result
+	var err error
 	if spec.RefitModelID != "" {
-		res, err := m.executeRefit(ctx, jobID, attempt, spec, resume)
-		if err == nil && res.OOC != nil {
-			m.oocRuns.Add(1)
-			m.oocShardLoads.Add(res.OOC.ShardLoads)
-			m.oocBytesRead.Add(res.OOC.ShardBytesRead)
-			m.oocStalls.Add(res.OOC.PrefetchStalls)
+		res, err = m.executeRefit(ctx, jobID, attempt, spec, resume)
+	} else {
+		x, sharded, cleanup, rerr := m.resolveSpecTensor(spec, jobID)
+		if rerr != nil {
+			return nil, rerr
 		}
-		return res, err
+		defer cleanup()
+		res, err = m.runSolver(ctx, jobID, attempt, spec, resume, x, sharded)
 	}
-	x, sharded, cleanup, err := m.resolveSpecTensor(spec, jobID)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	res, err := m.runSolver(ctx, jobID, attempt, spec, resume, x, sharded)
 	if err == nil && res.OOC != nil {
 		m.oocRuns.Add(1)
 		m.oocShardLoads.Add(res.OOC.ShardLoads)
@@ -1234,10 +1232,6 @@ func (m *Manager) resolveSpecTensor(spec JobSpec, jobID string) (x *tensor.COO, 
 	if spec.DistWorkers <= 1 && !ooc.Decide(x.Order(), int64(x.NNZ()), budget).OutOfCore {
 		return x, nil, cleanup, nil
 	}
-	if spec.Algo == "hals" {
-		return nil, nil, cleanup, fmt.Errorf(
-			"mem_budget_mb %d forces out-of-core execution, which algo hals does not support", spec.MemBudgetMB)
-	}
 	dir := filepath.Join(m.dataDir, "shards", jobID)
 	os.RemoveAll(dir) // a retried attempt reconverts from scratch
 	cleanup = func() { os.RemoveAll(dir) }
@@ -1249,101 +1243,92 @@ func (m *Manager) resolveSpecTensor(spec JobSpec, jobID string) (x *tensor.COO, 
 	return nil, st, cleanup, nil
 }
 
-// runSolver dispatches to the requested solver, choosing the in-memory or
-// streaming engine by which input form resolveSpecTensor produced.
+// checkpointEvery is the job's checkpoint interval, 5 when unset.
+func (s *JobSpec) checkpointEvery() int {
+	if s.CheckpointEvery <= 0 {
+		return 5
+	}
+	return s.CheckpointEvery
+}
+
+// solverOptions maps a job spec onto the core options every in-process solver
+// runs with, whatever its algo: the fields of the spec, the live-progress
+// hook, checkpointing, and — when resume is set — the recovered checkpoint's
+// factors, duals and iteration anchors. The iteration budget is shared across
+// an interruption, not restarted.
+func (m *Manager) solverOptions(ctx context.Context, jobID string, attempt int, spec JobSpec, resume *kruskal.Checkpoint) (core.Options, error) {
+	variant, structure, err := core.ParseSpec(spec.Algo, spec.Variant, spec.Structure)
+	if err != nil {
+		return core.Options{}, err
+	}
+	opts := core.Options{
+		Rank: spec.Rank, MaxOuterIters: spec.MaxOuterIters, Tol: spec.Tol,
+		Threads: spec.Threads, BlockSize: spec.BlockSize, Seed: spec.Seed,
+		Variant: variant, Structure: structure,
+		ExploitSparsity:   spec.ExploitSparsity,
+		AdaptiveRho:       spec.AdaptiveRho,
+		KernelFormat:      spec.Format,
+		MemBudgetBytes:    spec.MemBudgetMB << 20,
+		CollectMetrics:    spec.collectMetrics(),
+		CheckpointDir:     m.checkpointDir(jobID),
+		CheckpointEvery:   spec.checkpointEvery(),
+		CheckpointJobID:   jobID,
+		CheckpointAttempt: attempt,
+		Faults:            m.faults,
+		Ctx:               ctx,
+		OnIteration:       m.publisher(jobID),
+	}
+	if spec.Constraint != "" {
+		if opts.Constraints, err = parseConstraints(spec.Constraint); err != nil {
+			return core.Options{}, err
+		}
+	}
+	if resume != nil {
+		opts.InitFactors = resume.Factors
+		opts.InitDuals = resume.Duals
+		if resume.Meta != nil {
+			opts.StartIter = resume.Meta.Iteration
+			opts.PrevRelErr = resume.Meta.RelErr
+		}
+	}
+	return opts, nil
+}
+
+// publisher returns the hook that feeds a job's per-iteration trace points to
+// its progress broker (GET /jobs/{id}/progress), or nil for an unknown job.
+func (m *Manager) publisher(jobID string) func(stats.TracePoint) bool {
+	j, ok := m.Get(jobID)
+	if !ok {
+		return nil
+	}
+	pb := j.progress
+	return func(p stats.TracePoint) bool {
+		pb.publish(p)
+		return true
+	}
+}
+
+// runSolver runs the job's solver on the in-memory or streaming engine, by
+// which input form resolveSpecTensor produced, or hands a dist_workers job to
+// the networked engine.
 func (m *Manager) runSolver(ctx context.Context, jobID string, attempt int, spec JobSpec, resume *kruskal.Checkpoint, x *tensor.COO, sharded *ooc.ShardedTensor) (*core.Result, error) {
-	every := spec.CheckpointEvery
-	if every <= 0 {
-		every = 5
+	if spec.DistWorkers > 1 {
+		return m.runDistSolver(ctx, jobID, spec, resume, sharded)
 	}
-	// Live progress: every solver publishes its per-iteration trace point to
-	// the job's broker, feeding GET /jobs/{id}/progress.
-	var publish func(stats.TracePoint) bool
-	if j, ok := m.Get(jobID); ok {
-		pb := j.progress
-		publish = func(p stats.TracePoint) bool {
-			pb.publish(p)
-			return true
-		}
+	opts, err := m.solverOptions(ctx, jobID, attempt, spec, resume)
+	if err != nil {
+		return nil, err
 	}
-	switch spec.Algo {
-	case "als":
-		alsOpts := core.ALSOptions{
-			Rank: spec.Rank, MaxOuterIters: spec.MaxOuterIters, Tol: spec.Tol,
-			Threads: spec.Threads, Seed: spec.Seed, Ridge: 1e-10,
-			MemBudgetBytes: spec.MemBudgetMB << 20,
-			CollectMetrics: spec.collectMetrics(), Ctx: ctx,
-			OnIteration: publish, KernelFormat: spec.Format,
-		}
-		if sharded != nil {
-			return core.FactorizeALSOOC(sharded, alsOpts)
-		}
-		return core.FactorizeALS(x, alsOpts)
-	case "hals":
-		if sharded != nil {
-			return nil, fmt.Errorf("algo hals does not support out-of-core execution")
-		}
-		return core.FactorizeHALS(x, core.HALSOptions{
-			Rank: spec.Rank, MaxOuterIters: spec.MaxOuterIters, Tol: spec.Tol,
-			Threads: spec.Threads, Seed: spec.Seed,
-			CollectMetrics: spec.collectMetrics(), Ctx: ctx,
-			OnIteration: publish, KernelFormat: spec.Format,
-		})
-	default:
-		if spec.DistWorkers > 1 {
-			return m.runDistSolver(ctx, jobID, spec, resume, sharded, publish, every)
-		}
-		variant, structure, err := core.ParseSpec(spec.Variant, spec.Structure)
-		if err != nil {
-			return nil, err
-		}
-		opts := core.Options{
-			Rank: spec.Rank, MaxOuterIters: spec.MaxOuterIters, Tol: spec.Tol,
-			Threads: spec.Threads, BlockSize: spec.BlockSize, Seed: spec.Seed,
-			Variant: variant, Structure: structure,
-			ExploitSparsity:   spec.ExploitSparsity,
-			AdaptiveRho:       spec.AdaptiveRho,
-			KernelFormat:      spec.Format,
-			MemBudgetBytes:    spec.MemBudgetMB << 20,
-			CollectMetrics:    spec.collectMetrics(),
-			CheckpointDir:     m.checkpointDir(jobID),
-			CheckpointEvery:   every,
-			CheckpointJobID:   jobID,
-			CheckpointAttempt: attempt,
-			Faults:            m.faults,
-			Ctx:               ctx,
-			OnIteration:       publish,
-		}
-		if resume != nil {
-			// Warm-restart from the recovered checkpoint: factors + duals +
-			// the iteration/relerr anchors, completing the loop the core's
-			// InitFactors machinery supports. The iteration budget is shared
-			// across the interruption, not restarted.
-			opts.InitFactors = resume.Factors
-			opts.InitDuals = resume.Duals
-			if resume.Meta != nil {
-				opts.StartIter = resume.Meta.Iteration
-				opts.PrevRelErr = resume.Meta.RelErr
-			}
-		}
-		if spec.Constraint != "" {
-			cs, err := parseConstraints(spec.Constraint)
-			if err != nil {
-				return nil, err
-			}
-			opts.Constraints = cs
-		}
-		if sharded != nil {
-			return core.FactorizeOOC(sharded, opts)
-		}
-		return core.Factorize(x, opts)
+	if sharded != nil {
+		return core.FactorizeOOC(sharded, opts)
 	}
+	return core.Factorize(x, opts)
 }
 
 // runDistSolver hands an aoadmm job to the networked distributed engine and
 // maps its result back into the core.Result shape the job machinery expects.
 // resolveSpecTensor guarantees sharded is non-nil for dist_workers > 1.
-func (m *Manager) runDistSolver(ctx context.Context, jobID string, spec JobSpec, resume *kruskal.Checkpoint, sharded *ooc.ShardedTensor, publish func(stats.TracePoint) bool, every int) (*core.Result, error) {
+func (m *Manager) runDistSolver(ctx context.Context, jobID string, spec JobSpec, resume *kruskal.Checkpoint, sharded *ooc.ShardedTensor) (*core.Result, error) {
 	if sharded == nil {
 		return nil, fmt.Errorf("serve: distributed job %s resolved to an in-core tensor", jobID)
 	}
@@ -1367,11 +1352,11 @@ func (m *Manager) runDistSolver(ctx context.Context, jobID string, spec JobSpec,
 		WaitForWorkers:  spec.DistWorkers,
 		Placement:       spec.Placement,
 		CheckpointDir:   m.checkpointDir(jobID),
-		CheckpointEvery: every,
+		CheckpointEvery: spec.checkpointEvery(),
 		Resume:          resume,
 		Trace:           spec.Trace,
 		Ctx:             ctx,
-		OnIteration:     publish,
+		OnIteration:     m.publisher(jobID),
 	})
 	if err != nil {
 		return nil, err
@@ -1514,9 +1499,7 @@ func (m *Manager) refitBaseSource(snap stream.Snapshot) (stream.Source, error) {
 // executeRefit runs one attempt of a streaming refit: materialize the
 // lineage's base plus pending decay-weighted deltas into a shard generation,
 // then run the out-of-core AO-ADMM solver warm-started from the live head's
-// factors and decay-scaled duals. The head's solver shaping (variant,
-// structure, kernel format, rho policy) is inherited from the lineage's
-// recorded source spec; the refit spec's run knobs override.
+// factors and decay-scaled duals, with the options of refitSpec.
 func (m *Manager) executeRefit(ctx context.Context, jobID string, attempt int, spec JobSpec, resume *kruskal.Checkpoint) (*core.Result, error) {
 	if m.stream == nil {
 		return nil, fmt.Errorf("serve: streaming is not enabled")
@@ -1553,74 +1536,13 @@ func (m *Manager) executeRefit(ctx context.Context, jobID string, attempt int, s
 			return nil, fmt.Errorf("serve: lineage %s source spec: %w", root, err)
 		}
 	}
-	pick := func(override, inherited int) int {
-		if override != 0 {
-			return override
-		}
-		return inherited
-	}
-	every := pick(spec.CheckpointEvery, src.CheckpointEvery)
-	if every <= 0 {
-		every = 5
-	}
-	format := spec.Format
-	if format == "" {
-		format = src.Format
-	}
-	var publish func(stats.TracePoint) bool
-	if j, ok := m.Get(jobID); ok {
-		pb := j.progress
-		publish = func(p stats.TracePoint) bool {
-			pb.publish(p)
-			return true
-		}
-	}
-	variant, structure, err := core.ParseSpec(src.Variant, src.Structure)
+	// A crash-recovered refit attempt resumes its own checkpoint; the
+	// checkpointed duals already carry the base scale from the first run.
+	opts, err := m.solverOptions(ctx, jobID, attempt, refitSpec(spec, src, head), resume)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: lineage %s: %w", root, err)
 	}
-	opts := core.Options{
-		Rank:              head.K.Rank(),
-		Variant:           variant,
-		Structure:         structure,
-		MaxOuterIters:     pick(spec.MaxOuterIters, src.MaxOuterIters),
-		Tol:               spec.Tol,
-		Threads:           pick(spec.Threads, src.Threads),
-		BlockSize:         pick(spec.BlockSize, src.BlockSize),
-		Seed:              spec.Seed,
-		ExploitSparsity:   src.ExploitSparsity,
-		AdaptiveRho:       src.AdaptiveRho,
-		KernelFormat:      format,
-		MemBudgetBytes:    spec.MemBudgetMB << 20,
-		CollectMetrics:    spec.collectMetrics(),
-		CheckpointDir:     m.checkpointDir(jobID),
-		CheckpointEvery:   every,
-		CheckpointJobID:   jobID,
-		CheckpointAttempt: attempt,
-		Faults:            m.faults,
-		Ctx:               ctx,
-		OnIteration:       publish,
-	}
-	if spec.Tol == 0 {
-		opts.Tol = src.Tol
-	}
-	if head.Meta.Constraint != "" {
-		cs, err := parseConstraints(head.Meta.Constraint)
-		if err != nil {
-			return nil, fmt.Errorf("serve: lineage constraint %q: %w", head.Meta.Constraint, err)
-		}
-		opts.Constraints = cs
-	}
-	if resume != nil {
-		// A crash-recovered refit attempt resumes its own checkpoint; the
-		// checkpointed duals already carry the base scale from the first run.
-		opts.InitFactors = resume.Factors
-		opts.InitDuals = resume.Duals
-		if resume.Meta != nil {
-			opts.StartIter = resume.Meta.Iteration
-			opts.PrevRelErr = resume.Meta.RelErr
-		}
-	} else {
+	if resume == nil {
 		// The warm start that makes incremental refits cheap: the live head's
 		// factors seed the outer loop, and its converged duals — scaled by the
 		// same decay the base tensor faded by — seed the ADMM state. The
@@ -1646,6 +1568,40 @@ func (m *Manager) executeRefit(ctx context.Context, jobID string, attempt int, s
 		j.mu.Unlock()
 	}
 	return core.FactorizeOOC(mat.Tensor, opts)
+}
+
+// refitSpec merges a refit's override spec over the lineage's recorded
+// source spec, field by field:
+//   - rank and constraint come from the head model, and the algo is aoadmm;
+//   - variant, structure, exploit_sparsity and adaptive_rho come from src;
+//   - max_outer, tol, threads, block_size, checkpoint_every and format come
+//     from spec when set (non-zero, non-empty), else from src;
+//   - seed, mem_budget_mb and collect_metrics come from spec alone, as do
+//     name and timeout_sec, which runJob reads from the job's own spec.
+func refitSpec(spec, src JobSpec, head *Model) JobSpec {
+	merged := spec
+	merged.Algo = ""
+	merged.Rank = head.K.Rank()
+	merged.Constraint = head.Meta.Constraint
+	merged.Variant, merged.Structure = src.Variant, src.Structure
+	merged.ExploitSparsity, merged.AdaptiveRho = src.ExploitSparsity, src.AdaptiveRho
+	pick := func(override, inherited int) int {
+		if override != 0 {
+			return override
+		}
+		return inherited
+	}
+	merged.MaxOuterIters = pick(spec.MaxOuterIters, src.MaxOuterIters)
+	merged.Threads = pick(spec.Threads, src.Threads)
+	merged.BlockSize = pick(spec.BlockSize, src.BlockSize)
+	merged.CheckpointEvery = pick(spec.CheckpointEvery, src.CheckpointEvery)
+	if merged.Tol == 0 {
+		merged.Tol = src.Tol
+	}
+	if merged.Format == "" {
+		merged.Format = src.Format
+	}
+	return merged
 }
 
 func loadSpecTensor(spec JobSpec) (*tensor.COO, error) {

@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"strings"
-
 	"aoadmm/internal/kruskal"
 	"aoadmm/internal/ooc"
 	"aoadmm/internal/tensor"
@@ -466,7 +464,7 @@ func TestShutdownCancelsQueuedAndCheckpointsRunning(t *testing.T) {
 
 // TestSubmitTensorPathFailFast covers the submission-time validation of
 // tensor_path: missing files and plain directories are rejected before a
-// worker ever runs, and HALS refuses sharded inputs.
+// worker ever runs, while a shard store runs under every algo, HALS too.
 func TestSubmitTensorPathFailFast(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir())
 	dir := t.TempDir() // exists, but is not a shard store
@@ -483,7 +481,6 @@ func TestSubmitTensorPathFailFast(t *testing.T) {
 	bad := []JobSpec{
 		{TensorPath: filepath.Join(dir, "missing.tns"), Rank: 4},
 		{TensorPath: dir, Rank: 4},
-		{TensorPath: shards, Rank: 4, Algo: "hals"},
 		{Dataset: "amazon", Rank: 4, MemBudgetMB: -1},
 	}
 	for i, spec := range bad {
@@ -492,6 +489,15 @@ func TestSubmitTensorPathFailFast(t *testing.T) {
 			t.Errorf("spec %d: status %d (%s)", i, code, raw)
 		}
 	}
+
+	var hals JobView
+	code, raw := doJSON(t, http.MethodPost, ts.URL+"/jobs", JobSpec{
+		TensorPath: shards, Rank: 4, Algo: "hals", MaxOuterIters: 3, Threads: 1,
+	}, &hals)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit sharded hals: %d %s", code, raw)
+	}
+	pollJob(t, ts.URL, hals.ID, JobDone, 60*time.Second)
 }
 
 // TestOutOfCoreJobs runs jobs against a pre-converted shard directory and a
@@ -563,7 +569,7 @@ func TestOutOfCoreJobs(t *testing.T) {
 		t.Fatalf("job report missing ooc section: %+v", report.OOC)
 	}
 
-	// A hals job whose budget forces out-of-core fails with a clear error.
+	// A hals job whose budget forces out-of-core runs out-of-core too.
 	var hals JobView
 	code, raw = doJSON(t, http.MethodPost, ts.URL+"/jobs", JobSpec{
 		TensorPath: path, Rank: 3, Algo: "hals",
@@ -572,20 +578,6 @@ func TestOutOfCoreJobs(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit hals: %d %s", code, raw)
 	}
-	stop := time.Now().Add(60 * time.Second)
-	for {
-		var v JobView
-		doJSON(t, http.MethodGet, ts.URL+"/jobs/"+hals.ID, nil, &v)
-		if JobStatus(v.Status) == JobFailed {
-			if !strings.Contains(v.Error, "out-of-core") {
-				t.Fatalf("hals failure error %q", v.Error)
-			}
-			break
-		}
-		if JobStatus(v.Status) == JobDone || time.Now().After(stop) {
-			t.Fatalf("hals ooc job state %+v", v)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	pollJob(t, ts.URL, hals.ID, JobDone, 60*time.Second)
 	_ = s
 }

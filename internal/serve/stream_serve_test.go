@@ -5,11 +5,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"aoadmm/internal/faults"
+	"aoadmm/internal/kruskal"
 	"aoadmm/internal/stream"
 	"aoadmm/internal/tensor"
 )
@@ -847,5 +849,43 @@ func TestStreamDriftMetricsAndTrigger(t *testing.T) {
 	lv = getLineage(t, ts.URL, v1)
 	if lv.Head != v3 || lv.Stream == nil || len(lv.Stream.Drift) != 2 || lv.Stream.Drift[1].Version != v3 {
 		t.Fatalf("lineage after drift refit %+v", lv)
+	}
+}
+
+// TestRefitSpecFieldRules pins where each field of a refit's options comes
+// from: the head model, the lineage's source spec, or the refit spec.
+func TestRefitSpecFieldRules(t *testing.T) {
+	head := &Model{Meta: ModelMeta{Constraint: "nonneg+l1:0.1"}, K: kruskal.New([]int{4, 3, 2}, 5)}
+	metricsOff := false
+	src := JobSpec{
+		Dataset: "nell", Algo: "aoadmm", Rank: 9, Constraint: "nonneg",
+		Variant: "base", Structure: "hybrid", ExploitSparsity: true, AdaptiveRho: true,
+		MaxOuterIters: 30, Tol: 1e-4, Threads: 3, BlockSize: 20, CheckpointEvery: 7,
+		Format: "alto", Seed: 11, MemBudgetMB: 64,
+	}
+	inherited := refitSpec(JobSpec{RefitModelID: "m1"}, src, head)
+	want := JobSpec{
+		RefitModelID: "m1", Rank: 5, Constraint: "nonneg+l1:0.1",
+		Variant: "base", Structure: "hybrid", ExploitSparsity: true, AdaptiveRho: true,
+		MaxOuterIters: 30, Tol: 1e-4, Threads: 3, BlockSize: 20, CheckpointEvery: 7,
+		Format: "alto",
+	}
+	if !reflect.DeepEqual(inherited, want) {
+		t.Errorf("inherited refit spec\n got %+v\nwant %+v", inherited, want)
+	}
+
+	spec := JobSpec{
+		RefitModelID: "m1", Variant: "blocked", Structure: "dense",
+		MaxOuterIters: 4, Tol: 1e-3, Threads: 1, BlockSize: 8, CheckpointEvery: 2,
+		Format: "csf", Seed: 3, MemBudgetMB: 1, CollectMetrics: &metricsOff,
+		Name: "n", TimeoutSec: 9,
+	}
+	overridden := refitSpec(spec, src, head)
+	want = spec
+	want.Rank, want.Constraint = 5, "nonneg+l1:0.1"
+	want.Variant, want.Structure = "base", "hybrid"
+	want.ExploitSparsity, want.AdaptiveRho = true, true
+	if !reflect.DeepEqual(overridden, want) {
+		t.Errorf("overridden refit spec\n got %+v\nwant %+v", overridden, want)
 	}
 }

@@ -195,15 +195,17 @@ type OOCReport struct {
 	// PrefetchStallSeconds is the total time spent in those waits.
 	PrefetchStallSeconds float64 `json:"prefetch_stall_seconds"`
 	// PeakTrackedBytes is the high-water mark of tracked resident tensor
-	// bytes (loaded shard COOs + the live per-shard CSF tree).
+	// bytes (loaded shards, plus the live per-shard CSF tree of a version 1
+	// store).
 	PeakTrackedBytes int64 `json:"peak_tracked_bytes"`
 	// EstimateBytes is the admission estimator's in-memory footprint bound
 	// for this tensor; BudgetBytes the configured budget (0 = unlimited).
 	EstimateBytes int64 `json:"estimate_bytes"`
 	BudgetBytes   int64 `json:"budget_bytes"`
-	// ShardKernels counts resident-shard kernel compilations by format
-	// ("csf", "alto") — under format "auto" the per-shard cost model may
-	// mix formats within one run.
+	// ShardKernels counts streamed shard loads by the kernel that served
+	// them: "alto" for key-ordered (version 2) shards, "csf" for the column
+	// layout (version 1). The store's payload version picks it, so one run
+	// never mixes the two.
 	ShardKernels map[string]int64 `json:"shard_kernels,omitempty"`
 }
 
